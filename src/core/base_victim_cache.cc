@@ -75,6 +75,7 @@ BaseVictimLlc::BaseVictimLlc(std::size_t sizeBytes, std::size_t physWays,
             "segment quantum must divide the line size");
     baseRepl_ = makeReplacement(baseRepl, sets_, ways_);
     victimRepl_ = makeVictimReplacement(victimRepl, sets_, ways_);
+    candidates_.reserve(ways_);
 }
 
 SetIdx
@@ -131,26 +132,26 @@ BaseVictimLlc::tryInsertVictim(SetIdx set, const CacheLine &line,
                                LlcResult &result)
 {
     // Collect every way where the victim fits beside the base line.
-    std::vector<VictimCandidate> candidates;
+    candidates_.clear();
     for (const WayIdx w : indexRange<WayIdx>(ways_)) {
         const SegCount baseSegs = base_.valid(set, w)
                                       ? base_.segments(set, w)
                                       : kZeroLineSegments;
         if (baseSegs + line.segments > kFullLineSegments)
             continue;
-        candidates.push_back(VictimCandidate{w, baseSegs,
-                                             victim_.valid(set, w),
-                                             victim_.segments(set, w)});
+        candidates_.push_back(VictimCandidate{w, baseSegs,
+                                              victim_.valid(set, w),
+                                              victim_.segments(set, w)});
     }
 
-    if (candidates.empty()) {
+    if (candidates_.empty()) {
         // The replaced line cannot be kept anywhere: a plain eviction,
         // exactly as in the uncompressed cache.
         ++ctr_.victimInsertFailures;
         return false;
     }
 
-    const WayIdx way = victimRepl_->choose(set, candidates);
+    const WayIdx way = victimRepl_->choose(set, candidates_);
     silentEvictVictim(set, way, VictimEvictReason::Displaced, result);
 
     CacheLine parked = line;

@@ -229,6 +229,8 @@ class BaseVictimLlc : public Llc
     TagArray victim_; // SoA Victim-Cache section
     std::unique_ptr<ReplacementPolicy> baseRepl_;
     std::unique_ptr<VictimReplacement> victimRepl_;
+    /** Fitting ways of one victim insertion; reserved to ways_ once. */
+    std::vector<VictimCandidate> candidates_;
     const Compressor &comp_;
     bool inclusive_;
     unsigned quantumSegments_; //!< segments per size-field step

@@ -19,8 +19,7 @@ class RandomVictimRepl : public VictimReplacement
     }
 
     [[nodiscard]] WayIdx
-    choose(SetIdx, const std::vector<VictimCandidate> &candidates)
-        override
+    choose(SetIdx, std::span<const VictimCandidate> candidates) override
     {
         return candidates[rng_.range(candidates.size())].way;
     }
@@ -41,8 +40,7 @@ class EcmVictimRepl : public VictimReplacement
     using VictimReplacement::VictimReplacement;
 
     [[nodiscard]] WayIdx
-    choose(SetIdx, const std::vector<VictimCandidate> &candidates)
-        override
+    choose(SetIdx, std::span<const VictimCandidate> candidates) override
     {
         const VictimCandidate *best = nullptr;
         // First pass: empty slots only (displace nothing).
@@ -77,8 +75,7 @@ class LruVictimRepl : public VictimReplacement
     }
 
     [[nodiscard]] WayIdx
-    choose(SetIdx set, const std::vector<VictimCandidate> &candidates)
-        override
+    choose(SetIdx set, std::span<const VictimCandidate> candidates) override
     {
         const VictimCandidate *best = nullptr;
         Tick bestStamp = 0;
@@ -120,8 +117,7 @@ class SizeMixVictimRepl : public VictimReplacement
     using VictimReplacement::VictimReplacement;
 
     [[nodiscard]] WayIdx
-    choose(SetIdx, const std::vector<VictimCandidate> &candidates)
-        override
+    choose(SetIdx, std::span<const VictimCandidate> candidates) override
     {
         const VictimCandidate *best = nullptr;
         bool bestFree = false;
@@ -155,8 +151,7 @@ class CampVictimRepl : public VictimReplacement
     using VictimReplacement::VictimReplacement;
 
     [[nodiscard]] WayIdx
-    choose(SetIdx, const std::vector<VictimCandidate> &candidates)
-        override
+    choose(SetIdx, std::span<const VictimCandidate> candidates) override
     {
         const VictimCandidate *best = nullptr;
         for (const auto &cand : candidates) {

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,8 +69,7 @@ class VictimReplacement
      * first-class; policies may prefer them.
      */
     [[nodiscard]] virtual WayIdx
-    choose(SetIdx set,
-           const std::vector<VictimCandidate> &candidates) = 0;
+    choose(SetIdx set, std::span<const VictimCandidate> candidates) = 0;
 
     /** A victim line was installed at (set, way). */
     virtual void onInsert(SetIdx, WayIdx) {}

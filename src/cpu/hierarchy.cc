@@ -242,12 +242,11 @@ Hierarchy::load(Addr pc, Addr addr, Cycle cycle)
         handleL1Eviction(*evicted, cycle);
 
     if (cfg_.prefetch) {
-        prefetchScratch_.clear();
-        l1Prefetcher_.observe(pc, blk, !hit, prefetchScratch_);
+        l1PrefetchScratch_.clear();
+        l1Prefetcher_.observe(pc, blk, !hit, l1PrefetchScratch_);
         // L1 prefetches must respect inclusion: fill the LLC and L2
         // first, then the L1.
-        const auto candidates = prefetchScratch_;
-        for (const Addr pa : candidates) {
+        for (const Addr pa : l1PrefetchScratch_) {
             if (l1d_.probe(pa))
                 continue;
             prefetchLine(pa, cycle, true);

@@ -165,6 +165,8 @@ class Hierarchy
     std::function<bool(Addr)> backInvalidate_;
     std::function<void(Addr, bool, Cycle)> coherenceTouch_;
     std::vector<Addr> prefetchScratch_;
+    /** L1 proposals: apart, so the fills they issue cannot clobber them. */
+    std::vector<Addr> l1PrefetchScratch_;
     StatGroup stats_;
     HotCounters ctr_; //!< must follow stats_ initialization
 };

@@ -126,16 +126,34 @@ CharPolicy::rank(SetIdx set)
     for (const WayIdx w : indexRange<WayIdx>(ways_))
         if (!row[w.get()])
             order.push_back(w);
+    noteVictim(set, order.front());
+    return order;
+}
 
+WayIdx
+CharPolicy::victim(SetIdx set)
+{
+    const auto *row = &bits_[idx(set, WayIdx{0})];
+    WayIdx front{0};
+    for (const WayIdx w : indexRange<WayIdx>(ways_)) {
+        if (row[w.get()]) {
+            front = w;
+            break;
+        }
+    }
+    noteVictim(set, front);
+    return front;
+}
+
+void
+CharPolicy::noteVictim(SetIdx set, WayIdx front)
+{
     // Dueling feedback for the no-hint leader: the preferred victim being
     // a would-have-been-hinted line that never got rehit means hints
     // predict death correctly there.
-    if (role(set) == SetRole::LeaderNoHint && !order.empty()) {
-        const std::size_t at = idx(set, order.front());
-        if (hinted_[at] && psel_ > -kPselMax)
-            --psel_;
-    }
-    return order;
+    if (role(set) == SetRole::LeaderNoHint && hinted_[idx(set, front)] &&
+        psel_ > -kPselMax)
+        --psel_;
 }
 
 std::vector<std::uint64_t>

@@ -28,6 +28,7 @@ class CharPolicy : public ReplacementPolicy
     void onInvalidate(SetIdx set, WayIdx way) override;
     void downgradeHint(SetIdx set, WayIdx way) override;
     [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
+    [[nodiscard]] WayIdx victim(SetIdx set) override;
     [[nodiscard]] std::vector<WayIdx>
     preferredVictims(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>
@@ -48,6 +49,8 @@ class CharPolicy : public ReplacementPolicy
     [[nodiscard]] SetRole role(SetIdx set) const;
     [[nodiscard]] bool applyHints(SetIdx set) const;
     void touch(SetIdx set, WayIdx way);
+    /** Selector feedback when `front` is the chosen victim of `set`. */
+    void noteVictim(SetIdx set, WayIdx front);
 
     static constexpr unsigned kDuelPeriod = 32;
     static constexpr int kPselMax = 1023;

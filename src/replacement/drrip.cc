@@ -1,20 +1,11 @@
 #include "replacement/drrip.hh"
 
-#include <algorithm>
-
 namespace bvc
 {
 
 DrripPolicy::DrripPolicy(std::size_t sets, std::size_t ways)
-    : ReplacementPolicy(sets, ways),
-      rrpvs_(sets * ways, kMaxRrpv)
+    : RripPolicy(sets, ways)
 {
-}
-
-unsigned
-DrripPolicy::rrpv(SetIdx set, WayIdx way) const
-{
-    return rrpvs_[idx(set, way)];
 }
 
 DrripPolicy::SetRole
@@ -51,77 +42,25 @@ DrripPolicy::onFill(SetIdx set, WayIdx way)
     else if (role(set) == SetRole::LeaderBrrip && psel_ > -kPselMax)
         --psel_;
 
-    unsigned insert = kSrripInsert;
+    unsigned insertRrpv = kSrripInsert;
     if (insertBrrip(set)) {
         // BRRIP: mostly distant, occasionally long.
-        insert = (++bimodalCounter_ % kBimodalPeriod == 0)
+        insertRrpv = (++bimodalCounter_ % kBimodalPeriod == 0)
             ? kSrripInsert
             : kMaxRrpv;
     }
-    rrpvs_[idx(set, way)] = static_cast<std::uint8_t>(insert);
-}
-
-void
-DrripPolicy::onHit(SetIdx set, WayIdx way)
-{
-    rrpvs_[idx(set, way)] = 0;
-}
-
-void
-DrripPolicy::onInvalidate(SetIdx set, WayIdx way)
-{
-    rrpvs_[idx(set, way)] = kMaxRrpv;
-}
-
-std::vector<WayIdx>
-DrripPolicy::rank(SetIdx set)
-{
-    auto *row = &rrpvs_[idx(set, WayIdx{0})];
-    auto maxIt = std::max_element(row, row + ways_);
-    if (*maxIt < kMaxRrpv) {
-        const std::uint8_t delta =
-            static_cast<std::uint8_t>(kMaxRrpv - *maxIt);
-        for (std::size_t w = 0; w < ways_; ++w)
-            row[w] = static_cast<std::uint8_t>(row[w] + delta);
-    }
-    std::vector<WayIdx> order;
-    order.reserve(ways_);
-    for (const WayIdx w : indexRange<WayIdx>(ways_))
-        order.push_back(w);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](WayIdx a, WayIdx b) {
-                         return row[a.get()] > row[b.get()];
-                     });
-    return order;
+    insert(set, way, insertRrpv);
 }
 
 std::vector<std::uint64_t>
 DrripPolicy::stateSnapshot(SetIdx set) const
 {
-    std::vector<std::uint64_t> out;
-    out.reserve(ways_ + 2);
-    for (const WayIdx w : indexRange<WayIdx>(ways_))
-        out.push_back(rrpvs_[idx(set, w)]);
+    auto out = RripPolicy::stateSnapshot(set);
     // Set-dueling state is global and decision-relevant everywhere.
     out.push_back(static_cast<std::uint64_t>(
         static_cast<std::int64_t>(psel_)));
     out.push_back(bimodalCounter_);
     return out;
-}
-
-std::vector<WayIdx>
-DrripPolicy::preferredVictims(SetIdx set)
-{
-    const auto order = rank(set);
-    const auto *row = &rrpvs_[idx(set, WayIdx{0})];
-    std::vector<WayIdx> candidates;
-    for (const WayIdx w : order) {
-        if (row[w.get()] == kMaxRrpv)
-            candidates.push_back(w);
-        else
-            break;
-    }
-    return candidates;
 }
 
 } // namespace bvc

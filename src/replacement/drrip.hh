@@ -6,42 +6,37 @@
  * selecting per-workload whichever policy misses less. An optional
  * extension beyond the paper's evaluated policies — the Base-Victim
  * architecture composes with it unchanged, which the Figure 10 bench
- * demonstrates.
+ * demonstrates. Aging and victim selection are SRRIP's (rrip.hh).
  */
 
 #ifndef BVC_REPLACEMENT_DRRIP_HH_
 #define BVC_REPLACEMENT_DRRIP_HH_
 
-#include "replacement/replacement.hh"
+#include "replacement/rrip.hh"
 
 namespace bvc
 {
 
 /** DRRIP with 2-bit RRPVs and 10-bit policy selector. */
-class DrripPolicy : public ReplacementPolicy
+class DrripPolicy : public RripPolicy
 {
   public:
-    static constexpr unsigned kMaxRrpv = 3;
+    /** SRRIP's "long" insertion RRPV. */
     static constexpr unsigned kSrripInsert = 2;
     /** BRRIP inserts at kSrripInsert once every kBimodalPeriod fills. */
     static constexpr unsigned kBimodalPeriod = 32;
+    /** One SRRIP and one BRRIP leader set in every kDuelPeriod sets. */
     static constexpr unsigned kDuelPeriod = 32;
+    /** Saturation bound of the policy selector, either sign. */
     static constexpr int kPselMax = 511;
 
     DrripPolicy(std::size_t sets, std::size_t ways);
 
     void onFill(SetIdx set, WayIdx way) override;
-    void onHit(SetIdx set, WayIdx way) override;
-    void onInvalidate(SetIdx set, WayIdx way) override;
-    [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
-    [[nodiscard]] std::vector<WayIdx>
-    preferredVictims(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>
     stateSnapshot(SetIdx set) const override;
     [[nodiscard]] std::string name() const override { return "DRRIP"; }
 
-    /** Raw RRPV; test helper. */
-    [[nodiscard]] unsigned rrpv(SetIdx set, WayIdx way) const;
     /** True if follower sets currently insert BRRIP-style. */
     [[nodiscard]] bool brripSelected() const { return psel_ > 0; }
 
@@ -56,7 +51,6 @@ class DrripPolicy : public ReplacementPolicy
     [[nodiscard]] SetRole role(SetIdx set) const;
     bool insertBrrip(SetIdx set);
 
-    std::vector<std::uint8_t> rrpvs_;
     int psel_ = 0; //!< >0: SRRIP leaders miss more -> use BRRIP
     unsigned bimodalCounter_ = 0;
 };

@@ -55,6 +55,19 @@ LruPolicy::rank(SetIdx set)
     return order;
 }
 
+WayIdx
+LruPolicy::victim(SetIdx set)
+{
+    // Argmin of the stamps; the strict `<` keeps the lowest way among
+    // equal stamps, which is where rank()'s stable sort puts it.
+    const Tick *row = &stamp(set, WayIdx{0});
+    std::size_t best = 0;
+    for (std::size_t w = 1; w < ways_; ++w)
+        if (row[w] < row[best])
+            best = w;
+    return WayIdx{best};
+}
+
 std::vector<std::uint64_t>
 LruPolicy::stateSnapshot(SetIdx set) const
 {

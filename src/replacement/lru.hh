@@ -25,6 +25,7 @@ class LruPolicy : public ReplacementPolicy
     void onHit(SetIdx set, WayIdx way) override;
     void onInvalidate(SetIdx set, WayIdx way) override;
     [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
+    [[nodiscard]] WayIdx victim(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>
     stateSnapshot(SetIdx set) const override;
     [[nodiscard]] std::string name() const override { return "LRU"; }

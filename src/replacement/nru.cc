@@ -70,6 +70,16 @@ NruPolicy::preferredVictims(SetIdx set)
     return candidates;
 }
 
+WayIdx
+NruPolicy::victim(SetIdx set)
+{
+    const auto *row = &bits_[idx(set, WayIdx{0})];
+    for (const WayIdx w : indexRange<WayIdx>(ways_))
+        if (row[w.get()])
+            return w;
+    return WayIdx{0};
+}
+
 std::vector<WayIdx>
 NruPolicy::rank(SetIdx set)
 {

@@ -24,6 +24,7 @@ class NruPolicy : public ReplacementPolicy
     void onHit(SetIdx set, WayIdx way) override;
     void onInvalidate(SetIdx set, WayIdx way) override;
     [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
+    [[nodiscard]] WayIdx victim(SetIdx set) override;
     [[nodiscard]] std::vector<WayIdx>
     preferredVictims(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>

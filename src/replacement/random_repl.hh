@@ -19,18 +19,24 @@ class RandomPolicy : public ReplacementPolicy
 {
   public:
     RandomPolicy(std::size_t sets, std::size_t ways,
+                 // Fixes the whole decision stream: runs reproduce.
                  std::uint64_t seed = 0xb5c0ffee);
 
     void onFill(SetIdx, WayIdx) override {}
     void onHit(SetIdx, WayIdx) override {}
     void onInvalidate(SetIdx, WayIdx) override {}
     [[nodiscard]] std::vector<WayIdx> rank(SetIdx set) override;
+    [[nodiscard]] WayIdx victim(SetIdx set) override;
     [[nodiscard]] std::vector<std::uint64_t>
     stateSnapshot(SetIdx set) const override;
     [[nodiscard]] std::string name() const override { return "Random"; }
 
   private:
+    /** Draw a fresh permutation of the ways into order_. */
+    void shuffle();
+
     Rng rng_;
+    std::vector<WayIdx> order_; //!< scratch reused by every decision
 };
 
 } // namespace bvc

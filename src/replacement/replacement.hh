@@ -2,10 +2,11 @@
  * @file
  * Replacement-policy interface shared by every cache model. A policy owns
  * per-(set, way) age state for a cache of fixed geometry and exposes a
- * victim *ranking* rather than a single victim: the compressed-cache
+ * victim *ranking* as well as a single victim: the compressed-cache
  * models (Section III / VI.B of the paper) need to walk candidates in
  * policy-preference order and filter them by compressed-size fit, which a
- * single-victim interface cannot express.
+ * single-victim interface cannot express, while every other replacement
+ * decision only needs the front of that ranking (victim()).
  *
  * Sets and ways are addressed with the strong index types of
  * util/strong_types.hh: passing a set where a way is expected (or vice
@@ -73,15 +74,18 @@ class ReplacementPolicy
     [[nodiscard]] virtual std::vector<WayIdx>
     preferredVictims(SetIdx set)
     {
-        return {rank(set).front()};
+        return {victim(set)};
     }
 
-    /** Convenience: the single preferred victim (first of rank()). */
-    [[nodiscard]] WayIdx
-    victim(SetIdx set)
-    {
-        return rank(set).front();
-    }
+    /**
+     * The single preferred victim of `set`: exactly `rank(set).front()`,
+     * with exactly the side effects rank() has (aging, selector
+     * feedback, PRNG draws), so the two are interchangeable at any point
+     * of a call sequence. Every cache calls this on every miss, so an
+     * override must not allocate: it answers the decision directly
+     * instead of building the ranking.
+     */
+    [[nodiscard]] virtual WayIdx victim(SetIdx set) = 0;
 
     /**
      * Every word of decision-relevant aging state for `set`, plus any

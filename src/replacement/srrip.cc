@@ -1,90 +1,17 @@
 #include "replacement/srrip.hh"
 
-#include <algorithm>
-
 namespace bvc
 {
 
 SrripPolicy::SrripPolicy(std::size_t sets, std::size_t ways)
-    : ReplacementPolicy(sets, ways),
-      rrpvs_(sets * ways, kMaxRrpv)
+    : RripPolicy(sets, ways)
 {
-}
-
-unsigned
-SrripPolicy::rrpv(SetIdx set, WayIdx way) const
-{
-    return rrpvs_[idx(set, way)];
 }
 
 void
 SrripPolicy::onFill(SetIdx set, WayIdx way)
 {
-    rrpvs_[idx(set, way)] = kInsertRrpv;
-}
-
-void
-SrripPolicy::onHit(SetIdx set, WayIdx way)
-{
-    rrpvs_[idx(set, way)] = 0;
-}
-
-void
-SrripPolicy::onInvalidate(SetIdx set, WayIdx way)
-{
-    rrpvs_[idx(set, way)] = kMaxRrpv;
-}
-
-std::vector<std::uint64_t>
-SrripPolicy::stateSnapshot(SetIdx set) const
-{
-    std::vector<std::uint64_t> out;
-    out.reserve(ways_);
-    for (const WayIdx w : indexRange<WayIdx>(ways_))
-        out.push_back(rrpvs_[idx(set, w)]);
-    return out;
-}
-
-std::vector<WayIdx>
-SrripPolicy::preferredVictims(SetIdx set)
-{
-    // rank() ages the set so that at least one way sits at kMaxRrpv;
-    // the candidate class is exactly the max-RRPV ways.
-    const auto order = rank(set);
-    const auto *row = &rrpvs_[idx(set, WayIdx{0})];
-    std::vector<WayIdx> candidates;
-    for (const WayIdx w : order) {
-        if (row[w.get()] == kMaxRrpv)
-            candidates.push_back(w);
-        else
-            break;
-    }
-    return candidates;
-}
-
-std::vector<WayIdx>
-SrripPolicy::rank(SetIdx set)
-{
-    auto *row = &rrpvs_[idx(set, WayIdx{0})];
-
-    // Age the set until at least one way is a distant re-reference.
-    auto maxIt = std::max_element(row, row + ways_);
-    if (*maxIt < kMaxRrpv) {
-        const std::uint8_t delta =
-            static_cast<std::uint8_t>(kMaxRrpv - *maxIt);
-        for (std::size_t w = 0; w < ways_; ++w)
-            row[w] = static_cast<std::uint8_t>(row[w] + delta);
-    }
-
-    std::vector<WayIdx> order;
-    order.reserve(ways_);
-    for (const WayIdx w : indexRange<WayIdx>(ways_))
-        order.push_back(w);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](WayIdx a, WayIdx b) {
-                         return row[a.get()] > row[b.get()];
-                     });
-    return order;
+    insert(set, way, kInsertRrpv);
 }
 
 } // namespace bvc

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "replacement/char_policy.hh"
+#include "replacement/drrip.hh"
 #include "replacement/factory.hh"
 #include "replacement/lru.hh"
 #include "replacement/nru.hh"
@@ -266,23 +270,123 @@ TEST_P(ReplacementProperty, PreferredVictimsAreValidWays)
     }
 }
 
-TEST_P(ReplacementProperty, VictimIsFirstOfRank)
-{
-    auto policy = makeReplacement(GetParam(), 1, 4);
-    // Random policy re-ranks every call, so only check determinism for
-    // stateful policies.
-    if (GetParam() == ReplacementKind::Random)
-        return;
-    policy->onFill(SetIdx{0}, WayIdx{0});
-    policy->onFill(SetIdx{0}, WayIdx{2});
-    EXPECT_EQ(policy->victim(SetIdx{0}), policy->rank(SetIdx{0}).front());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, ReplacementProperty,
     ::testing::ValuesIn(allReplacementKinds()),
     [](const ::testing::TestParamInfo<ReplacementKind> &info) {
         return replacementName(info.param);
+    });
+
+/**
+ * victim() must be interchangeable with rank().front(), side effects
+ * included. Two twins of one policy take the same random event stream;
+ * at every decision twin A asks victim() and twin B rank().front().
+ * Both must name the same way and then hold equal state in every set,
+ * so a missed side effect (aging, selector feedback, PRNG draws) shows
+ * up as a snapshot divergence even when the chosen way agrees.
+ */
+class VictimLockstep
+    : public ::testing::TestWithParam<
+          std::tuple<ReplacementKind, std::size_t>>
+{
+};
+
+/**
+ * The reference for preferredVictims(): RRIP's candidate class is the
+ * max-RRPV prefix of rank(); policies without a class of their own
+ * return rank().front(); NRU and CHAR answer from their own bits.
+ */
+std::vector<WayIdx>
+referencePreferredVictims(ReplacementKind kind, ReplacementPolicy &policy,
+                          SetIdx set)
+{
+    switch (kind) {
+      case ReplacementKind::Srrip:
+      case ReplacementKind::Drrip: {
+        const auto order = policy.rank(set);
+        const auto &rrip = dynamic_cast<const RripPolicy &>(policy);
+        std::vector<WayIdx> prefix;
+        for (const WayIdx w : order) {
+            if (rrip.rrpv(set, w) != RripPolicy::kMaxRrpv)
+                break;
+            prefix.push_back(w);
+        }
+        return prefix;
+      }
+      case ReplacementKind::Lru:
+      case ReplacementKind::Random:
+        return {policy.rank(set).front()};
+      case ReplacementKind::Nru:
+      case ReplacementKind::Char:
+        return policy.preferredVictims(set);
+    }
+    return {};
+}
+
+TEST_P(VictimLockstep, VictimEqualsRankFrontWithSameSideEffects)
+{
+    const auto [kind, ways] = GetParam();
+    // Enough sets for both DRRIP and CHAR to have leader sets of each
+    // kind (set % kDuelPeriod == 0 and == 1) plus followers.
+    const std::size_t sets = 2 * DrripPolicy::kDuelPeriod;
+    auto a = makeReplacement(kind, sets, ways);
+    auto b = makeReplacement(kind, sets, ways);
+    Rng rng(ways * 7919 + static_cast<std::uint64_t>(kind));
+    // Most events land in two leader sets and a follower, so each
+    // reaches deep aging and selector states; the rest go anywhere.
+    const SetIdx hot[] = {SetIdx{0}, SetIdx{1}, SetIdx{5},
+                          SetIdx{DrripPolicy::kDuelPeriod + 1}};
+
+    for (int step = 0; step < 6000; ++step) {
+        const SetIdx set = rng.range(10) < 7
+            ? hot[rng.range(std::size(hot))]
+            : SetIdx{rng.range(sets)};
+        const WayIdx way{rng.range(ways)};
+        switch (rng.range(7)) {
+          case 0:
+            a->onFill(set, way);
+            b->onFill(set, way);
+            break;
+          case 1:
+          case 2:
+            a->onHit(set, way);
+            b->onHit(set, way);
+            break;
+          case 3:
+            a->onInvalidate(set, way);
+            b->onInvalidate(set, way);
+            break;
+          case 4:
+            a->downgradeHint(set, way);
+            b->downgradeHint(set, way);
+            break;
+          case 5: {
+            // A miss: decide, then fill the chosen way.
+            const WayIdx chosen = a->victim(set);
+            ASSERT_EQ(chosen, b->rank(set).front()) << "step " << step;
+            a->onFill(set, chosen);
+            b->onFill(set, chosen);
+            break;
+          }
+          default:
+            ASSERT_EQ(a->preferredVictims(set),
+                      referencePreferredVictims(kind, *b, set))
+                << "step " << step;
+            break;
+        }
+        for (const SetIdx s : indexRange<SetIdx>(sets))
+            ASSERT_EQ(a->stateSnapshot(s), b->stateSnapshot(s))
+                << "step " << step << ", set " << s.get();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPoliciesAndWays, VictimLockstep,
+    ::testing::Combine(::testing::ValuesIn(allReplacementKinds()),
+                       ::testing::Values(1, 4, 16, 32)),
+    [](const ::testing::TestParamInfo<VictimLockstep::ParamType> &info) {
+        return replacementName(std::get<0>(info.param)) + "_" +
+               std::to_string(std::get<1>(info.param)) + "way";
     });
 
 TEST(ReplacementFactory, NamesRoundTrip)
