@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "sim/multicore.hh"
 #include "trace/workload_suite.hh"
@@ -19,9 +20,9 @@ main()
 {
     const WorkloadSuite suite;
     const auto mix = suite.mixes(1).front();
-    const std::array<TraceParams, 4> traces = {
-        suite.all()[mix[0]].params, suite.all()[mix[1]].params,
-        suite.all()[mix[2]].params, suite.all()[mix[3]].params};
+    std::vector<TraceParams> traces;
+    for (const std::size_t idx : mix)
+        traces.push_back(suite.all()[idx].params);
 
     // 1MB shared LLC: the bench-scale analog of the paper's 4MB.
     SystemConfig base = SystemConfig::benchDefaults();
@@ -40,7 +41,7 @@ main()
 
     Table table({"thread", "trace", "IPC (base)", "IPC (base-victim)",
                  "speedup"});
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < traces.size(); ++i) {
         table.addRow({std::to_string(i), traces[i].name,
                       Table::num(rb.ipc[i]), Table::num(rv.ipc[i]),
                       Table::num(rv.ipc[i] / rb.ipc[i])});

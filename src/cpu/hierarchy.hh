@@ -114,6 +114,7 @@ class Hierarchy
     void handleLlcResult(const LlcResult &result, Cycle cycle);
 
     StatGroup &stats() { return stats_; }
+    const StatGroup &stats() const { return stats_; }
     Cache &l1d() { return l1d_; }
     Cache &l1i() { return l1i_; }
     Cache &l2() { return l2_; }

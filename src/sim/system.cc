@@ -5,7 +5,6 @@
 
 #include "check/shadow_checker.hh"
 #include "core/banked_llc.hh"
-#include "tracefile/file_trace_source.hh"
 #include "core/dcc_cache.hh"
 #include "core/two_tag_array.hh"
 #include "core/uncompressed_llc.hh"
@@ -160,41 +159,35 @@ makeLlc(const SystemConfig &cfg, const Compressor &comp)
 }
 
 System::System(const SystemConfig &cfg, const TraceParams &trace)
-    : cfg_(cfg),
-      compressor_(makeCompressor(cfg.compressor)),
-      dram_(cfg.dramTiming, cfg.dramGeometry)
+    : sys_(cfg, std::span<const TraceParams>(&trace, 1),
+           MultiCoreConfig{CoherenceKind::None,
+                           /*sharedAddressSpace=*/true})
 {
-    cfg_.hier.llcInclusive = cfg.llcInclusive;
-    llc_ = makeLlc(cfg, *compressor_);
-    // openTrace picks synthetic generation or .bvt file replay from
-    // the params, and hands back the DataPattern bound to the trace
-    // (for file replay, the pattern captured in the file's header).
-    OpenedTrace opened = openTrace(trace);
-    trace_ = std::move(opened.source);
-    blockReader_.bind(*trace_);
-    mem_ = FunctionalMemory(
-        [pattern = opened.pattern](Addr blk, std::uint8_t *out) {
-            pattern.fillLine(blk, out);
-        });
-    hier_ = std::make_unique<Hierarchy>(cfg_.hier, *llc_, dram_, mem_);
-    core_ = std::make_unique<OooCore>(cfg.core, *hier_);
+}
+
+RunResult
+System::run(std::uint64_t warmup, std::uint64_t measure)
+{
+    sys_.run(warmup, measure);
+    return snapshot();
 }
 
 RunResult
 System::snapshot() const
 {
     RunResult out;
-    const CoreResult cr = core_->result();
+    const CoreResult cr = sys_.core(CoreId{0}).result();
     out.ipc = cr.ipc;
     out.instructions = cr.instructions;
     out.cycles = cr.cycles;
 
-    const StatGroup &dram = dram_.stats();
+    const StatGroup &dram = sys_.dram().stats();
     out.dramReads = dram.get("reads");
     out.dramWrites = dram.get("writes");
-    out.dramDemandReads = hier_->stats().get("dram_demand_reads");
+    out.dramDemandReads =
+        sys_.hierarchy(CoreId{0}).stats().get("dram_demand_reads");
 
-    const StatGroup &llc = llc_->stats();
+    const StatGroup &llc = sys_.llc().stats();
     out.llcDemandAccesses = llc.get("demand_accesses");
     out.llcDemandHits = llc.get("demand_hits");
     out.llcDemandMisses = llc.get("demand_misses");
@@ -202,32 +195,6 @@ System::snapshot() const
     out.llcAccesses = llc.get("accesses");
     out.backInvalidations = llc.get("back_invalidations");
     return out;
-}
-
-RunResult
-System::run(std::uint64_t warmup, std::uint64_t measure)
-{
-    TraceRecord record;
-    for (std::uint64_t i = 0; i < warmup; ++i) {
-        if (!blockReader_.next(record))
-            break;
-        core_->stepRecord(record);
-    }
-
-    // Statistics measure only the steady-state window; all cache, DRAM
-    // and core *state* persists across the boundary.
-    llc_->resetStats();
-    dram_.stats().resetAll();
-    hier_->stats().resetAll();
-    core_->stats().resetAll();
-    core_->beginMeasurement();
-
-    for (std::uint64_t i = 0; i < measure; ++i) {
-        if (!blockReader_.next(record))
-            break;
-        core_->stepRecord(record);
-    }
-    return snapshot();
 }
 
 } // namespace bvc

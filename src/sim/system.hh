@@ -1,128 +1,52 @@
 /**
  * @file
- * Single-core system assembly and execution: wires a trace generator, a
- * 4-wide OOO core, private L1I/L1D/L2, one of the LLC organizations
- * under study, DRAM and functional memory, then runs warmup + measured
- * instruction windows (the paper's trace methodology, Section V).
+ * Single-core system: one trace on one 4-wide OOO core with private
+ * L1I/L1D/L2, one of the LLC organizations under study, DRAM and
+ * functional memory, run as warmup + measured instruction windows (the
+ * paper's trace methodology, Section V). A front over a one-core
+ * MultiCoreSystem, which does all the wiring and running.
  */
 
 #ifndef BVC_SIM_SYSTEM_HH_
 #define BVC_SIM_SYSTEM_HH_
 
-#include <memory>
+#include <cstdint>
 
-#include "compress/factory.hh"
-#include "core/base_victim_cache.hh"
-#include "core/llc_interface.hh"
-#include "cpu/hierarchy.hh"
-#include "cpu/ooo_core.hh"
-#include "memory/dram.hh"
-#include "memory/functional_memory.hh"
-#include "trace/generators.hh"
+#include "sim/multicore.hh"
+#include "sim/system_config.hh"
 
 namespace bvc
 {
 
-/** LLC organizations selectable per run. */
-enum class LlcArch
-{
-    Uncompressed,   //!< the baseline every figure normalizes to
-    TwoTagNaive,    //!< Figure 6: partner-line victimization
-    TwoTagModified, //!< Figure 7: ECM-inspired two-tag replacement
-    BaseVictim,     //!< Figure 8+: the paper's proposal
-    Vsc,            //!< functional VSC-2X capacity model (Section V)
-    Dcc,            //!< functional DCC capacity model (Section II)
-};
-
-/** Printable architecture name. */
-const char *llcArchName(LlcArch arch);
-
-/** Complete system configuration. */
-struct SystemConfig
-{
-    HierarchyConfig hier;
-    CoreConfig core;
-    DramTiming dramTiming;
-    DramGeometry dramGeometry;
-
-    std::size_t llcBytes = 512 * 1024;
-    std::size_t llcWays = 16;
-    LlcArch arch = LlcArch::Uncompressed;
-    ReplacementKind llcRepl = ReplacementKind::Nru;
-    VictimReplKind victimRepl = VictimReplKind::Ecm;
-    CompressorKind compressor = CompressorKind::Bdi;
-    /** Compressed-size alignment in bytes: 4 (paper eval) or 8. */
-    unsigned segmentQuantum = 4;
-    /**
-     * Inclusive LLC (the paper's evaluation). The non-inclusive
-     * Section IV.B.3 variant is only supported with arch == BaseVictim.
-     */
-    bool llcInclusive = true;
-
-    /**
-     * Independently-locked, address-hashed LLC banks (power of two).
-     * 1 keeps the historical monolithic cache. Banking partitions the
-     * unbanked sets exactly (see core/banked_llc.hh), so contents and
-     * aggregate statistics are identical at any bank count; >1 exists
-     * for many-core scaling (per-bank locking).
-     */
-    std::size_t llcBanks = 1;
-
-    /**
-     * Fast configuration used by the benches: every capacity is the
-     * paper's divided by 4 (2MB -> 512KB LLC), preserving all capacity
-     * ratios; see DESIGN.md §4.
-     */
-    static SystemConfig benchDefaults();
-
-    /** The paper's absolute Section V configuration (2MB 16-way LLC). */
-    static SystemConfig paperDefaults();
-
-    /** Scale the LLC (e.g. 1.5x for the "3MB" comparison points). The
-     *  extra capacity is added as ways, like the paper's 24-way 3MB,
-     *  and costs one extra cycle of latency. */
-    SystemConfig withLlcScale(double factor) const;
-};
-
 /** Headline metrics of one measured window. */
 struct RunResult
 {
-    double ipc = 0.0;
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
+    double ipc = 0.0;              //!< instructions / cycles
+    std::uint64_t instructions = 0; //!< retired in the window
+    std::uint64_t cycles = 0;      //!< core cycles in the window
 
     std::uint64_t dramReads = 0;       //!< demand + prefetch reads
-    std::uint64_t dramWrites = 0;
+    std::uint64_t dramWrites = 0;      //!< memory writebacks
     std::uint64_t dramDemandReads = 0; //!< demand misses only
 
-    std::uint64_t llcDemandAccesses = 0;
-    std::uint64_t llcDemandHits = 0;
-    std::uint64_t llcDemandMisses = 0;
-    std::uint64_t llcVictimHits = 0;
-    std::uint64_t llcAccesses = 0;
-    std::uint64_t backInvalidations = 0;
+    std::uint64_t llcDemandAccesses = 0; //!< LLC loads + stores
+    std::uint64_t llcDemandHits = 0;     //!< base or victim hits
+    std::uint64_t llcDemandMisses = 0;   //!< demand misses to DRAM
+    std::uint64_t llcVictimHits = 0;     //!< hits in the victim section
+    std::uint64_t llcAccesses = 0;       //!< every LLC access type
+    std::uint64_t backInvalidations = 0; //!< inclusion victims above
 };
 
 /**
- * One assembled single-core system.
- *
- * Thread-safety contract (relied on by the sweep engine in
- * src/runner/): a System exclusively owns every component it wires
- * together — compressor, LLC, DRAM, trace generator, functional
- * memory, hierarchy, core — and the library keeps no global mutable
- * state: no global or static RNG (every generator and random policy
- * owns an Rng seeded from its parameters), no static counters, no
- * caches behind the factories. Distinct System instances may therefore
- * run concurrently on different threads with no synchronization. A
- * single System is NOT internally synchronized; never share one
- * instance across threads. Shared inputs (SystemConfig, TraceParams,
- * WorkloadSuite) are treated as read-only. Any future component that
- * adds static mutable state breaks this contract and the CI
- * ThreadSanitizer job (BVC_SANITIZE=thread) is there to catch it.
+ * One assembled single-core system: a one-core MultiCoreSystem in one
+ * address space with no coherence directory. A file trace that runs
+ * dry ends the run rather than looping. Thread safety: see
+ * MultiCoreSystem.
  */
 class System
 {
   public:
+    /** Assemble `cfg` around one core running `trace`. */
     System(const SystemConfig &cfg, const TraceParams &trace);
 
     /**
@@ -131,32 +55,21 @@ class System
      */
     RunResult run(std::uint64_t warmup, std::uint64_t measure);
 
-    Llc &llc() { return *llc_; }
-    Dram &dram() { return dram_; }
-    Hierarchy &hierarchy() { return *hier_; }
-    OooCore &core() { return *core_; }
-    TraceSource &trace() { return *trace_; }
+    /** The LLC under test. */
+    Llc &llc() { return sys_.llc(); }
+    /** Main memory. */
+    Dram &dram() { return sys_.dram(); }
+    /** The core's private L1I/L1D/L2. */
+    Hierarchy &hierarchy() { return sys_.hierarchy(CoreId{0}); }
+    /** The core. */
+    OooCore &core() { return sys_.core(CoreId{0}); }
 
     /** Snapshot the RunResult counters from current statistics. */
     RunResult snapshot() const;
 
   private:
-    SystemConfig cfg_;
-    std::unique_ptr<Compressor> compressor_;
-    std::unique_ptr<Llc> llc_;
-    Dram dram_;
-    std::unique_ptr<TraceSource> trace_;
-    /** Block-buffered decode boundary: run() pulls records through
-     *  here so trace decode happens kBlockRecords at a time. */
-    TraceBlockReader blockReader_;
-    FunctionalMemory mem_;
-    std::unique_ptr<Hierarchy> hier_;
-    std::unique_ptr<OooCore> core_;
+    MultiCoreSystem sys_;
 };
-
-/** Construct the configured LLC variant (shared with multicore). */
-std::unique_ptr<Llc> makeLlc(const SystemConfig &cfg,
-                             const Compressor &comp);
 
 } // namespace bvc
 

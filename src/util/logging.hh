@@ -34,12 +34,22 @@ void inform(const std::string &msg);
 /**
  * Assert an internal invariant; panics with the given message on failure.
  * Unlike assert() this is active in release builds, because the property
- * tests rely on invariant checking under -O2.
+ * tests rely on invariant checking under -O2. A literal message binds
+ * here and is only turned into a std::string on failure, so a passing
+ * check on a hot path costs no allocation.
  */
+inline void
+panicIf(bool condition, const char *msg)
+{
+    if (condition) [[unlikely]]
+        panic(msg);
+}
+
+/** panicIf for a message built at the call site (concatenations). */
 inline void
 panicIf(bool condition, const std::string &msg)
 {
-    if (condition)
+    if (condition) [[unlikely]]
         panic(msg);
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <vector>
 
 #include "core/uncompressed_llc.hh"
 #include "sim/multicore.hh"
+#include "sim/system.hh"
 #include "trace/workload_suite.hh"
 
 namespace bvc
@@ -13,13 +15,16 @@ namespace bvc
 namespace
 {
 
-std::array<TraceParams, 4>
+/** The suite's first 4-way mix of cache-sensitive traces. */
+std::vector<TraceParams>
 quickMix()
 {
     const WorkloadSuite suite;
     const auto mix = suite.mixes(1).front();
-    return {suite.all()[mix[0]].params, suite.all()[mix[1]].params,
-            suite.all()[mix[2]].params, suite.all()[mix[3]].params};
+    std::vector<TraceParams> out;
+    for (const std::size_t idx : mix)
+        out.push_back(suite.all()[idx].params);
+    return out;
 }
 
 /** One N-way mix of cache-sensitive traces from the suite. */

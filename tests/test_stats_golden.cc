@@ -19,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -94,14 +95,14 @@ multiCoreSnapshot()
 {
     SystemConfig cfg = SystemConfig::benchDefaults();
     cfg.arch = LlcArch::BaseVictim;
-    std::array<TraceParams, MultiCoreSystem::kThreads> traces = {
+    const std::vector<TraceParams> traces = {
         goldenTrace(101), goldenTrace(202), goldenTrace(303),
         goldenTrace(404)};
     MultiCoreSystem system(cfg, traces);
     const MultiRunResult r = system.run(3'000, 8'000);
     std::ostringstream out;
     out << "== multicore base-victim ==\n";
-    for (std::size_t i = 0; i < MultiCoreSystem::kThreads; ++i)
+    for (std::size_t i = 0; i < traces.size(); ++i)
         out << "core" << i << "_instructions " << r.instructions[i]
             << "\n";
     out << "dram_reads " << r.dramReads << "\n";

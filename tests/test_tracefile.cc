@@ -4,8 +4,8 @@
  * round-trips, every corruption class the reader must reject with a
  * BvcError{Io} naming a byte offset, the decode-ahead replayer's
  * equivalence with the synchronous fallback, text-trace conversion,
- * and end-to-end stats equality between a generator run and a replay
- * of its exported file.
+ * end-to-end stats equality between a generator run and a replay of
+ * its exported file, and where a single-core replay stops.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/system.hh"
 #include "trace/generators.hh"
 #include "tracefile/bvt_reader.hh"
 #include "tracefile/bvt_writer.hh"
@@ -536,6 +537,32 @@ TEST(EndToEnd, FileReplayReproducesGeneratorStats)
         runTrace(cfg, traceParamsFromBvt(path), syncOpts);
     EXPECT_EQ(fromSync.cycles, fromFile.cycles);
     EXPECT_EQ(fromSync.llcDemandMisses, fromFile.llcDemandMisses);
+}
+
+/**
+ * A single-core file replay does not loop: when warmup + measure runs
+ * past the file's end, the run returns with the records that were
+ * left after warmup, and a warmup that already exhausts the file
+ * leaves an empty measured window. Neither case loops or panics.
+ */
+TEST(EndToEnd, SingleCoreFileReplayStopsAtEndOfTrace)
+{
+    const std::string path = writeUnitTrace("short.bvt", 3'000, 256);
+    const SystemConfig cfg = SystemConfig::benchDefaults();
+    for (const bool decodeAhead : {false, true}) {
+        TraceParams params = traceParamsFromBvt(path);
+        params.decodeAhead = decodeAhead;
+
+        System pastEnd(cfg, params);
+        const RunResult r = pastEnd.run(1'000, 10'000);
+        EXPECT_EQ(r.instructions, 2'000u) << "decodeAhead " << decodeAhead;
+        EXPECT_EQ(r.instructions, pastEnd.core().retired() - 1'000u);
+
+        System warmupOnly(cfg, params);
+        EXPECT_EQ(warmupOnly.run(5'000, 10'000).instructions, 0u)
+            << "decodeAhead " << decodeAhead;
+        EXPECT_EQ(warmupOnly.core().retired(), 3'000u);
+    }
 }
 
 } // namespace

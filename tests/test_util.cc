@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/histogram.hh"
+#include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -125,6 +128,21 @@ TEST(TableDeathTest, RowArityMismatchPanics)
 {
     Table table({"a", "b"});
     EXPECT_DEATH(table.addRow({"only-one"}), "arity");
+}
+
+TEST(LoggingDeathTest, PanicIfLiteralPrintsMessage)
+{
+    panicIf(false, "a literal longer than the short-string buffer");
+    EXPECT_DEATH(panicIf(true, "a literal longer than the short-string "
+                               "buffer"),
+                 "panic: a literal longer than the short-string buffer");
+}
+
+TEST(LoggingDeathTest, PanicIfBuiltStringPrintsMessage)
+{
+    const std::string built = "built message " + std::to_string(42);
+    panicIf(false, built);
+    EXPECT_DEATH(panicIf(true, built), "panic: built message 42");
 }
 
 } // namespace

@@ -287,16 +287,16 @@ main(int argc, char **argv)
         if (opts.mix >= static_cast<int>(mixes.size()))
             fatal("--mix out of range (0..19)");
         const auto &mix = mixes[static_cast<std::size_t>(opts.mix)];
-        const std::array<TraceParams, 4> traces = {
-            suite.all()[mix[0]].params, suite.all()[mix[1]].params,
-            suite.all()[mix[2]].params, suite.all()[mix[3]].params};
+        std::vector<TraceParams> traces;
+        for (const std::size_t idx : mix)
+            traces.push_back(suite.all()[idx].params);
         std::printf("mix %d:\n", opts.mix);
         for (const auto &t : traces)
             std::printf("  %s\n", t.name.c_str());
 
         MultiCoreSystem system(cfg, traces);
         const MultiRunResult r = system.run(opts.warmup, opts.instr);
-        for (std::size_t t = 0; t < 4; ++t)
+        for (std::size_t t = 0; t < traces.size(); ++t)
             std::printf("thread %zu: ipc %.4f\n", t, r.ipc[t]);
         if (opts.compare) {
             MultiCoreSystem baseSystem(baseCfg, traces);
