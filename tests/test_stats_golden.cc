@@ -7,6 +7,10 @@
  * hot path, the trace decode batching, or the BDI size-only scan that
  * changes a single counter anywhere in the pipeline fails loudly.
  *
+ * A second snapshot (tests/golden/component_stats_golden.txt) pins the
+ * groups the LLC dump does not cover: L1I/L1D/L2, hierarchy, core,
+ * DRAM and the coherence directory.
+ *
  * Every snapshotted quantity is an integer counter (no floats), so the
  * comparison is exact on any host. Regenerate deliberately with
  *
@@ -111,33 +115,92 @@ multiCoreSnapshot()
     return out.str();
 }
 
-std::string
-goldenPath()
+/** Every counter group of one core's private side. */
+void
+dumpCoreGroups(std::ostringstream &out, Hierarchy &hier,
+               OooCore &core)
 {
-    return std::string(BVC_GOLDEN_DIR) + "/stats_golden.txt";
+    out << hier.l1i().stats().dump() << hier.l1d().stats().dump()
+        << hier.l2().stats().dump() << hier.stats().dump()
+        << core.stats().dump();
 }
 
-TEST(StatsGolden, CountersMatchCommittedSnapshot)
+/**
+ * The non-LLC groups: L1I/L1D/L2, hierarchy, core and DRAM for two
+ * single-core organizations, then every core plus the directory of a
+ * 4-core MSI mix in one address space.
+ */
+std::string
+componentSnapshot()
 {
-    const std::string got =
-        singleCoreSnapshot() + multiCoreSnapshot();
-
-    const char *update = std::getenv("BVC_UPDATE_GOLDEN");
-    if (update != nullptr && std::string(update) == "1") {
-        writeFile(goldenPath(), got);
-        GTEST_SKIP() << "regenerated " << goldenPath();
+    std::ostringstream out;
+    for (const LlcArch arch : {LlcArch::Uncompressed, LlcArch::BaseVictim}) {
+        SystemConfig cfg = SystemConfig::benchDefaults();
+        cfg.arch = arch;
+        System system(cfg, goldenTrace(77));
+        system.run(kWarmup, kMeasure);
+        out << "== " << llcArchName(arch) << " ==\n";
+        dumpCoreGroups(out, system.hierarchy(), system.core());
+        out << system.dram().stats().dump();
     }
 
-    std::ifstream in(goldenPath());
+    SystemConfig cfg = SystemConfig::benchDefaults();
+    cfg.arch = LlcArch::BaseVictim;
+    const std::vector<TraceParams> traces = {
+        goldenTrace(101), goldenTrace(202), goldenTrace(303),
+        goldenTrace(404)};
+    MultiCoreConfig mc;
+    mc.coherence = CoherenceKind::Msi;
+    mc.sharedAddressSpace = true;
+    MultiCoreSystem system(cfg, traces, mc);
+    system.run(3'000, 8'000);
+    out << "== multicore msi base-victim ==\n";
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        out << "-- core" << i << " --\n";
+        dumpCoreGroups(out, system.hierarchy(CoreId{i}),
+                       system.core(CoreId{i}));
+    }
+    out << system.dram().stats().dump();
+    out << system.directory()->stats().dump();
+    return out.str();
+}
+
+/**
+ * Compare `got` with the committed snapshot `file`, or rewrite the file
+ * when BVC_UPDATE_GOLDEN=1.
+ */
+void
+expectMatchesGolden(const std::string &file, const std::string &got)
+{
+    const std::string path = std::string(BVC_GOLDEN_DIR) + "/" + file;
+    const char *update = std::getenv("BVC_UPDATE_GOLDEN");
+    if (update != nullptr && std::string(update) == "1") {
+        writeFile(path, got);
+        GTEST_SKIP() << "regenerated " << path;
+    }
+
+    std::ifstream in(path);
     ASSERT_TRUE(in.good())
-        << "missing golden snapshot " << goldenPath()
+        << "missing golden snapshot " << path
         << " — regenerate with BVC_UPDATE_GOLDEN=1";
     std::ostringstream want;
     want << in.rdbuf();
     EXPECT_EQ(want.str(), got)
-        << "per-model counters diverged from the committed golden "
-           "snapshot; if the change is intentional, regenerate with "
+        << "counters diverged from the committed golden snapshot "
+        << file << "; if the change is intentional, regenerate with "
            "BVC_UPDATE_GOLDEN=1 and review the diff";
+}
+
+TEST(StatsGolden, CountersMatchCommittedSnapshot)
+{
+    expectMatchesGolden("stats_golden.txt",
+                        singleCoreSnapshot() + multiCoreSnapshot());
+}
+
+TEST(StatsGolden, ComponentCountersMatchCommittedSnapshot)
+{
+    expectMatchesGolden("component_stats_golden.txt",
+                        componentSnapshot());
 }
 
 } // namespace
