@@ -5,28 +5,13 @@
 namespace bvc
 {
 
-Cache::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      readHits(stats.counter("read_hits")),
-      writeHits(stats.counter("write_hits")),
-      readMisses(stats.counter("read_misses")),
-      writeMisses(stats.counter("write_misses")),
-      evictions(stats.counter("evictions")),
-      dirtyEvictions(stats.counter("dirty_evictions")),
-      backInvalidations(stats.counter("back_invalidations")),
-      dirtyBackInvalidations(stats.counter("dirty_back_invalidations")),
-      downgrades(stats.counter("downgrades"))
-{
-}
-
 Cache::Cache(std::string name, std::size_t sizeBytes, std::size_t ways,
              ReplacementKind repl, unsigned latency)
     : sets_(cacheSetCount(sizeBytes, ways, "cache")),
       ways_(ways),
       latency_(latency),
       tags_(sets_, ways_),
-      stats_(std::move(name)),
-      ctr_(stats_)
+      stats_(std::move(name), kStats.names)
 {
     panicIf(sets_ * ways_ * kLineBytes != sizeBytes,
             "cache size not divisible into sets*ways*64B");
@@ -43,18 +28,18 @@ bool
 Cache::access(Addr blk, bool write, std::optional<Eviction> &evicted)
 {
     evicted.reset();
-    ++ctr_.accesses;
+    ++stats_[kStats["accesses"]];
     const SetIdx set = setIndex(blk);
 
     if (const std::optional<WayIdx> hit = tags_.find(set, blk)) {
-        ++(write ? ctr_.writeHits : ctr_.readHits);
+        ++stats_[write ? kStats["write_hits"] : kStats["read_hits"]];
         if (write)
             tags_.setDirty(set, *hit, true);
         repl_->onHit(set, *hit);
         return true;
     }
 
-    ++(write ? ctr_.writeMisses : ctr_.readMisses);
+    ++stats_[write ? kStats["write_misses"] : kStats["read_misses"]];
 
     // Prefer an invalid way; otherwise consult the replacement policy.
     std::optional<WayIdx> victimWay = tags_.firstInvalid(set);
@@ -62,10 +47,10 @@ Cache::access(Addr blk, bool write, std::optional<Eviction> &evicted)
         victimWay = repl_->victim(set);
 
     if (tags_.valid(set, *victimWay)) {
-        ++ctr_.evictions;
+        ++stats_[kStats["evictions"]];
         const bool wasDirty = tags_.dirty(set, *victimWay);
         if (wasDirty)
-            ++ctr_.dirtyEvictions;
+            ++stats_[kStats["dirty_evictions"]];
         evicted = Eviction{tags_.tag(set, *victimWay), wasDirty};
     }
 
@@ -102,9 +87,9 @@ Cache::invalidate(Addr blk)
     const bool wasDirty = tags_.dirty(set, *way);
     tags_.invalidate(set, *way);
     repl_->onInvalidate(set, *way);
-    ++ctr_.backInvalidations;
+    ++stats_[kStats["back_invalidations"]];
     if (wasDirty)
-        ++ctr_.dirtyBackInvalidations;
+        ++stats_[kStats["dirty_back_invalidations"]];
     return wasDirty;
 }
 
@@ -117,7 +102,7 @@ Cache::downgrade(Addr blk)
     const SetIdx set = setIndex(blk);
     const bool wasDirty = tags_.dirty(set, *way);
     tags_.setDirty(set, *way, false);
-    ++ctr_.downgrades;
+    ++stats_[kStats["downgrades"]];
     return wasDirty;
 }
 

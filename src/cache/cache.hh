@@ -27,8 +27,8 @@ namespace bvc
 /** A line evicted by a fill, reported to the caller for writeback. */
 struct Eviction
 {
-    Addr addr = 0;
-    bool dirty = false;
+    Addr addr = 0;      //!< block address of the evicted line
+    bool dirty = false; //!< the line must be written back
 };
 
 /** Set-associative, write-allocate, writeback cache. */
@@ -102,17 +102,11 @@ class Cache
         return tags_.find(setIndex(blk), blk);
     }
 
-    /** Per-access counters resolved once (no string lookups per hit). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &accesses, &readHits, &writeHits;
-        Counter &readMisses, &writeMisses;
-        Counter &evictions, &dirtyEvictions;
-        Counter &backInvalidations, &dirtyBackInvalidations;
-        Counter &downgrades;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "accesses", "read_hits", "write_hits", "read_misses", "write_misses",
+        "evictions", "dirty_evictions", "back_invalidations",
+        "dirty_back_invalidations", "downgrades"};
 
     std::size_t sets_;
     std::size_t ways_;
@@ -120,7 +114,6 @@ class Cache
     TagArray tags_; // SoA: contiguous tags + packed metadata
     std::unique_ptr<ReplacementPolicy> repl_;
     StatGroup stats_;
-    HotCounters ctr_; //!< must follow stats_ initialization
 };
 
 } // namespace bvc

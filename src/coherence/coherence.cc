@@ -18,24 +18,11 @@ coherenceKindName(CoherenceKind kind)
     return "?";
 }
 
-CoherenceDirectory::HotCounters::HotCounters(StatGroup &stats)
-    : reads(stats.counter("reads")),
-      writes(stats.counter("writes")),
-      upgrades(stats.counter("upgrades")),
-      silentUpgrades(stats.counter("silent_upgrades")),
-      invalidationsSent(stats.counter("invalidations_sent")),
-      downgradesSent(stats.counter("downgrades_sent")),
-      exclusiveGrants(stats.counter("exclusive_grants")),
-      llcEvictions(stats.counter("llc_evictions"))
-{
-}
-
 CoherenceDirectory::CoherenceDirectory(CoherenceKind kind,
                                        std::size_t cores)
     : kind_(kind),
       cores_(cores),
-      stats_("coherence"),
-      ctr_(stats_)
+      stats_("coherence", kStats.names)
 {
     panicIf(kind_ == CoherenceKind::None,
             "CoherenceDirectory: construct only for MSI/MESI "
@@ -50,7 +37,7 @@ CoherenceDirectory::onRead(CoreId core, Addr blk)
 {
     panicIf(core.get() >= cores_, "CoherenceDirectory: core out of "
                                   "range");
-    ++ctr_.reads;
+    ++stats_[kStats["reads"]];
     const std::uint64_t bit = std::uint64_t{1} << core.get();
     Entry &e = dir_[blk];
     CoherenceAction action;
@@ -62,7 +49,7 @@ CoherenceDirectory::onRead(CoreId core, Addr blk)
             // MESI: the sole reader gets the block exclusive-clean,
             // so a later write by the same core upgrades silently.
             e.state = State::Exclusive;
-            ++ctr_.exclusiveGrants;
+            ++stats_[kStats["exclusive_grants"]];
         } else {
             e.state = State::Shared;
         }
@@ -73,7 +60,7 @@ CoherenceDirectory::onRead(CoreId core, Addr blk)
             // Remote owner: its possibly-dirty copy must flush to the
             // shared LLC but may stay resident in Shared state.
             action.downgrade = e.sharers;
-            ctr_.downgradesSent +=
+            stats_[kStats["downgrades_sent"]] +=
                 std::popcount(action.downgrade);
             e.sharers |= bit;
             e.state = State::Shared;
@@ -92,7 +79,7 @@ CoherenceDirectory::onWrite(CoreId core, Addr blk)
 {
     panicIf(core.get() >= cores_, "CoherenceDirectory: core out of "
                                   "range");
-    ++ctr_.writes;
+    ++stats_[kStats["writes"]];
     const std::uint64_t bit = std::uint64_t{1} << core.get();
     Entry &e = dir_[blk];
     CoherenceAction action;
@@ -103,12 +90,13 @@ CoherenceDirectory::onWrite(CoreId core, Addr blk)
     if (kind_ == CoherenceKind::Mesi && e.state == State::Exclusive &&
         e.sharers == bit) {
         // The MESI payoff: E -> M with no traffic at all.
-        ++ctr_.silentUpgrades;
+        ++stats_[kStats["silent_upgrades"]];
     } else {
         action.invalidate = e.sharers & ~bit;
-        ctr_.invalidationsSent += std::popcount(action.invalidate);
+        stats_[kStats["invalidations_sent"]] +=
+            std::popcount(action.invalidate);
         if (e.state != State::Invalid && (e.sharers & bit) != 0)
-            ++ctr_.upgrades; // S/owner-sharing -> M
+            ++stats_[kStats["upgrades"]]; // S/owner-sharing -> M
     }
     e.sharers = bit;
     e.state = State::Modified;
@@ -123,7 +111,7 @@ CoherenceDirectory::onLlcEviction(Addr blk)
         return 0;
     const std::uint64_t mask = it->second.sharers;
     dir_.erase(it);
-    ++ctr_.llcEvictions;
+    ++stats_[kStats["llc_evictions"]];
     return mask;
 }
 

@@ -54,8 +54,8 @@ const char *coherenceKindName(CoherenceKind kind);
  */
 struct CoherenceAction
 {
-    std::uint64_t invalidate = 0;
-    std::uint64_t downgrade = 0;
+    std::uint64_t invalidate = 0; //!< bit i: core i drops its copy
+    std::uint64_t downgrade = 0;  //!< bit i: core i flushes, keeps Shared
 };
 
 /**
@@ -106,25 +106,20 @@ class CoherenceDirectory
   private:
     struct Entry
     {
-        std::uint64_t sharers = 0;
-        State state = State::Invalid;
+        std::uint64_t sharers = 0;    //!< bit i: core i may hold a copy
+        State state = State::Invalid; //!< directory state of the block
     };
 
-    /** Counter references resolved once (no string lookups per touch). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &reads, &writes, &upgrades, &silentUpgrades;
-        Counter &invalidationsSent, &downgradesSent;
-        Counter &exclusiveGrants, &llcEvictions;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "reads", "writes", "upgrades", "silent_upgrades",
+        "invalidations_sent", "downgrades_sent", "exclusive_grants",
+        "llc_evictions"};
 
     CoherenceKind kind_;
     std::size_t cores_;
     std::unordered_map<Addr, Entry> dir_;
     StatGroup stats_;
-    HotCounters ctr_; //!< must follow stats_ initialization
 };
 
 } // namespace bvc

@@ -18,6 +18,8 @@ BankedLlc::BankedLlc(std::vector<std::unique_ptr<Llc>> banks,
         slot->llc = std::move(bank);
         banks_.push_back(std::move(slot));
     }
+    // Every bank runs the same model, so bank 0's group names them all.
+    aggregate_ = bank(0).stats();
 }
 
 BankedLlc::~BankedLlc() = default;
@@ -108,9 +110,7 @@ BankedLlc::rebuildAggregate() const
         // measurement contract (header comment).
         const Bank &bank = *slot;
         MutexLock lock(bank.mutex);
-        const StatGroup &bs = lockedBank(bank).stats();
-        for (const std::string &n : bs.names())
-            aggregate_.counter(n) += bs.get(n);
+        aggregate_ += lockedBank(bank).stats();
     }
 }
 

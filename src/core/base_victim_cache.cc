@@ -7,68 +7,19 @@
 namespace bvc
 {
 
-BaseVictimLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      compressions(stats.counter("compressions")),
-      decompressions(stats.counter("decompressions")),
-      demandHits(stats.counter("demand_hits")),
-      baseHits(stats.counter("base_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      victimHits(stats.counter("victim_hits")),
-      victimPrefetchHits(stats.counter("victim_prefetch_hits")),
-      victimWriteHits(stats.counter("victim_write_hits")),
-      promotions(stats.counter("promotions")),
-      dataMovements(stats.counter("data_movements")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      writebackFills(stats.counter("writeback_fills")),
-      baseEvictions(stats.counter("base_evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
-      fills(stats.counter("fills")),
-      victimInserts(stats.counter("victim_inserts")),
-      victimInsertFailures(stats.counter("victim_insert_failures")),
-      dirtyVictimEvictions(stats.counter("dirty_victim_evictions")),
-      victimSilentEvictions(stats.counter("victim_silent_evictions")),
-      victimSilentDisplaced(
-          stats.counter("victim_silent_evictions_displaced")),
-      victimSilentPartner(
-          stats.counter("victim_silent_evictions_partner")),
-      victimSilentWriteGrowth(
-          stats.counter("victim_silent_evictions_write_growth")),
-      coherenceInvalidations(stats.counter("coherence_invalidations")),
-      victimCoherenceInvalidations(
-          stats.counter("victim_coherence_invalidations"))
-{
-}
-
-Counter &
-BaseVictimLlc::HotCounters::silentEvictions(VictimEvictReason reason)
-{
-    switch (reason) {
-      case VictimEvictReason::Displaced: return victimSilentDisplaced;
-      case VictimEvictReason::Partner: return victimSilentPartner;
-      case VictimEvictReason::WriteGrowth: return victimSilentWriteGrowth;
-    }
-    panic("BaseVictimLlc: unknown victim eviction reason");
-}
-
 BaseVictimLlc::BaseVictimLlc(std::size_t sizeBytes, std::size_t physWays,
                              ReplacementKind baseRepl,
                              VictimReplKind victimRepl,
                              const Compressor &comp, bool inclusive,
                              unsigned segmentQuantumBytes)
-    : Llc("llc"),
+    : Llc("llc", kStats.names),
       sets_(cacheSetCount(sizeBytes, physWays, "Base-Victim LLC")),
       ways_(physWays),
       base_(sets_, physWays),
       victim_(sets_, physWays),
       comp_(comp),
       inclusive_(inclusive),
-      quantumSegments_(segmentQuantumBytes / kSegmentBytes),
-      ctr_(stats_)
+      quantumSegments_(segmentQuantumBytes / kSegmentBytes)
 {
     panicIf(quantumSegments_ == 0 ||
                 kSegmentsPerLine % quantumSegments_ != 0,
@@ -76,6 +27,20 @@ BaseVictimLlc::BaseVictimLlc(std::size_t sizeBytes, std::size_t physWays,
     baseRepl_ = makeReplacement(baseRepl, sets_, ways_);
     victimRepl_ = makeVictimReplacement(victimRepl, sets_, ways_);
     candidates_.reserve(ways_);
+}
+
+Counter &
+BaseVictimLlc::silentEvictions(VictimEvictReason reason)
+{
+    switch (reason) {
+      case VictimEvictReason::Displaced:
+        return stats_[kStats["victim_silent_evictions_displaced"]];
+      case VictimEvictReason::Partner:
+        return stats_[kStats["victim_silent_evictions_partner"]];
+      case VictimEvictReason::WriteGrowth:
+        return stats_[kStats["victim_silent_evictions_write_growth"]];
+    }
+    panic("BaseVictimLlc: unknown victim eviction reason");
 }
 
 SetIdx
@@ -119,12 +84,12 @@ BaseVictimLlc::silentEvictVictim(SetIdx set, WayIdx way,
         // Non-inclusive mode keeps dirty victims (Section IV.B.3);
         // dropping one costs a memory writeback.
         result.memWritebacks.push_back(victim_.tag(set, way));
-        ++ctr_.memWritebacks;
-        ++ctr_.dirtyVictimEvictions;
+        ++stats_[kStats["mem_writebacks"]];
+        ++stats_[kStats["dirty_victim_evictions"]];
     }
     victim_.invalidate(set, way);
-    ++ctr_.silentEvictions(reason);
-    ++ctr_.victimSilentEvictions;
+    ++silentEvictions(reason);
+    ++stats_[kStats["victim_silent_evictions"]];
 }
 
 bool
@@ -147,7 +112,7 @@ BaseVictimLlc::tryInsertVictim(SetIdx set, const CacheLine &line,
     if (candidates_.empty()) {
         // The replaced line cannot be kept anywhere: a plain eviction,
         // exactly as in the uncompressed cache.
-        ++ctr_.victimInsertFailures;
+        ++stats_[kStats["victim_insert_failures"]];
         return false;
     }
 
@@ -159,10 +124,10 @@ BaseVictimLlc::tryInsertVictim(SetIdx set, const CacheLine &line,
         parked.dirty = false; // written back on insertion (Section IV.A)
     victim_.install(set, way, parked);
     victimRepl_->onInsert(set, way);
-    ++ctr_.victimInserts;
+    ++stats_[kStats["victim_inserts"]];
     // Migrating the line between physical ways costs one data-array
     // read plus one write (Section VI.D power discussion).
-    ctr_.dataMovements += 1;
+    stats_[kStats["data_movements"]] += 1;
     return true;
 }
 
@@ -173,18 +138,18 @@ BaseVictimLlc::installBase(SetIdx set, WayIdx way,
     CacheLine replaced = base_.line(set, way);
 
     if (replaced.valid) {
-        ++ctr_.baseEvictions;
+        ++stats_[kStats["base_evictions"]];
         if (inclusive_) {
             if (replaced.dirty) {
                 // Write the dirty victim back to memory so that the
                 // Victim Cache only ever holds clean lines (Sec IV.A).
                 result.memWritebacks.push_back(replaced.tag);
-                ++ctr_.memWritebacks;
+                ++stats_[kStats["mem_writebacks"]];
             }
             // The line leaves the baseline content: upper levels must
             // drop their copies whether it is evicted or parked.
             result.backInvalidations.push_back(replaced.tag);
-            ++ctr_.backInvalidations;
+            ++stats_[kStats["back_invalidations"]];
         }
     }
 
@@ -198,7 +163,7 @@ BaseVictimLlc::installBase(SetIdx set, WayIdx way,
 
     base_.install(set, way, incoming);
     baseRepl_->onFill(set, way);
-    ++ctr_.fills;
+    ++stats_[kStats["fills"]];
 
     if (replaced.valid) {
         if (inclusive_)
@@ -207,7 +172,7 @@ BaseVictimLlc::installBase(SetIdx set, WayIdx way,
         if (!parked && !inclusive_ && replaced.dirty) {
             // Non-inclusive: a dropped dirty victim must reach memory.
             result.memWritebacks.push_back(replaced.tag);
-            ++ctr_.memWritebacks;
+            ++stats_[kStats["mem_writebacks"]];
         }
     }
 }
@@ -219,9 +184,9 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     const SetIdx set = setIndex(blk);
     const bool demand = type == AccessType::Read;
 
-    ++ctr_.accesses;
+    ++stats_[kStats["accesses"]];
     if (demand)
-        ++ctr_.demandAccesses;
+        ++stats_[kStats["demand_accesses"]];
 
     // Doubled tags cost one extra lookup cycle on every access (Sec V).
     result.extraLatency = 1;
@@ -236,14 +201,14 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
             result.extraLatency +=
                 decompressLatencyFor(comp_, storedSegs);
             if (needsDecompression(storedSegs))
-                ++ctr_.decompressions;
+                ++stats_[kStats["decompressions"]];
         }
 
         if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
+            ++stats_[kStats["writeback_hits"]];
             base_.setDirty(set, *bway, true);
             const SegCount newSegs = quantizedSegments(data);
-            ++ctr_.compressions;
+            ++stats_[kStats["compressions"]];
             if (victim_.valid(set, *bway) &&
                 newSegs + victim_.segments(set, *bway) >
                     kFullLineSegments) {
@@ -254,11 +219,11 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
             }
             base_.setSegments(set, *bway, newSegs);
         } else if (demand) {
-            ++ctr_.demandHits;
-            ++ctr_.baseHits;
+            ++stats_[kStats["demand_hits"]];
+            ++stats_[kStats["base_hits"]];
             baseRepl_->onHit(set, *bway);
         } else {
-            ++ctr_.prefetchHits;
+            ++stats_[kStats["prefetch_hits"]];
         }
         return result;
     }
@@ -271,14 +236,14 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         result.hit = true;
         result.victimHit = true;
         if (demand) {
-            ++ctr_.demandHits;
-            ++ctr_.victimHits;
+            ++stats_[kStats["demand_hits"]];
+            ++stats_[kStats["victim_hits"]];
         } else if (type == AccessType::Prefetch) {
-            ++ctr_.prefetchHits;
-            ++ctr_.victimPrefetchHits;
+            ++stats_[kStats["prefetch_hits"]];
+            ++stats_[kStats["victim_prefetch_hits"]];
         } else {
-            ++ctr_.writebackHits;
-            ++ctr_.victimWriteHits;
+            ++stats_[kStats["writeback_hits"]];
+            ++stats_[kStats["victim_write_hits"]];
         }
 
         CacheLine promoted = victim_.line(set, *vway);
@@ -288,7 +253,7 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
             result.extraLatency +=
                 decompressLatencyFor(comp_, promoted.segments);
             if (needsDecompression(promoted.segments))
-                ++ctr_.decompressions;
+                ++stats_[kStats["decompressions"]];
         }
 
         if (type == AccessType::Writeback) {
@@ -296,7 +261,7 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
             // line is recompressed, then promoted like a read hit.
             promoted.dirty = true;
             promoted.segments = quantizedSegments(data);
-            ++ctr_.compressions;
+            ++stats_[kStats["compressions"]];
         }
 
         // De-allocate from the Victim Cache, then install into the
@@ -306,8 +271,8 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         // installBase()).
         victimRepl_->onHit(set, *vway);
         victim_.invalidate(set, *vway);
-        ++ctr_.promotions;
-        ctr_.dataMovements += 1;
+        ++stats_[kStats["promotions"]];
+        stats_[kStats["data_movements"]] += 1;
 
         installBase(set, chooseBaseWay(set), promoted, result);
         return result;
@@ -318,18 +283,18 @@ BaseVictimLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         panic("Base-Victim: writeback miss violates inclusion");
 
     if (demand)
-        ++ctr_.demandMisses;
+        ++stats_[kStats["demand_misses"]];
     else if (type == AccessType::Prefetch)
-        ++ctr_.prefetchMisses;
+        ++stats_[kStats["prefetch_misses"]];
     else
-        ++ctr_.writebackFills; // non-inclusive only
+        ++stats_[kStats["writeback_fills"]]; // non-inclusive only
 
     CacheLine incoming;
     incoming.tag = blk;
     incoming.valid = true;
     incoming.dirty = type == AccessType::Writeback;
     incoming.segments = quantizedSegments(data);
-    ++ctr_.compressions;
+    ++stats_[kStats["compressions"]];
 
     installBase(set, chooseBaseWay(set), incoming, result);
     return result;
@@ -346,13 +311,13 @@ BaseVictimLlc::coherenceInvalidate(Addr blk)
         // does, so the mirror and replacement state stay in lockstep.
         if (base_.dirty(set, *bway)) {
             result.memWritebacks.push_back(blk);
-            ++ctr_.memWritebacks;
+            ++stats_[kStats["mem_writebacks"]];
         }
         result.backInvalidations.push_back(blk);
-        ++ctr_.backInvalidations;
+        ++stats_[kStats["back_invalidations"]];
         base_.invalidate(set, *bway);
         baseRepl_->onInvalidate(set, *bway);
-        ++ctr_.coherenceInvalidations;
+        ++stats_[kStats["coherence_invalidations"]];
         return result;
     }
 
@@ -363,12 +328,12 @@ BaseVictimLlc::coherenceInvalidate(Addr blk)
         // silent, so the hit rate stays >= the baseline's.
         if (!inclusive_ && victim_.dirty(set, *vway)) {
             result.memWritebacks.push_back(blk);
-            ++ctr_.memWritebacks;
-            ++ctr_.dirtyVictimEvictions;
+            ++stats_[kStats["mem_writebacks"]];
+            ++stats_[kStats["dirty_victim_evictions"]];
         }
         victim_.invalidate(set, *vway);
-        ++ctr_.coherenceInvalidations;
-        ++ctr_.victimCoherenceInvalidations;
+        ++stats_[kStats["coherence_invalidations"]];
+        ++stats_[kStats["victim_coherence_invalidations"]];
     }
     return result;
 }

@@ -51,14 +51,14 @@ class BaseVictimLlc : public Llc
      *        victim lines may be dirty, write hits to the Victim Cache
      *        promote like read hits, and dirty victim evictions write
      *        back to memory.
-     * @param segmentQuantumBytes compressed-size alignment: 4 (the
-     *        paper's evaluation) or 8 (the paper's worked examples);
-     *        coarser alignment needs fewer metadata bits but pairs
-     *        fewer lines (Section IV.C ablation)
      */
     BaseVictimLlc(std::size_t sizeBytes, std::size_t physWays,
                   ReplacementKind baseRepl, VictimReplKind victimRepl,
                   const Compressor &comp, bool inclusive = true,
+                  // Compressed-size alignment: 4 (the paper's
+                  // evaluation) or 8 (the paper's worked examples);
+                  // coarser alignment needs fewer metadata bits but
+                  // pairs fewer lines (Section IV.C ablation).
                   unsigned segmentQuantumBytes = kSegmentBytes);
 
     LlcResult access(Addr blk, AccessType type,
@@ -149,31 +149,22 @@ class BaseVictimLlc : public Llc
         WriteGrowth, //!< base partner grew on a write hit
     };
 
-    /**
-     * Counter references resolved once at construction so the
-     * per-access paths never do string-keyed map lookups (the worst
-     * offender was a per-eviction string concatenation for the
-     * victim_silent_evictions_<reason> counters).
-     */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "accesses", "demand_accesses", "writeback_hits", "compressions",
+        "decompressions", "demand_hits", "base_hits", "prefetch_hits",
+        "victim_hits", "victim_prefetch_hits", "victim_write_hits",
+        "promotions", "data_movements", "demand_misses", "prefetch_misses",
+        "writeback_fills", "base_evictions", "mem_writebacks",
+        "back_invalidations", "fills", "victim_inserts",
+        "victim_insert_failures", "dirty_victim_evictions",
+        "victim_silent_evictions", "victim_silent_evictions_displaced",
+        "victim_silent_evictions_partner",
+        "victim_silent_evictions_write_growth", "coherence_invalidations",
+        "victim_coherence_invalidations"};
 
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &compressions, &decompressions;
-        Counter &demandHits, &baseHits, &prefetchHits;
-        Counter &victimHits, &victimPrefetchHits, &victimWriteHits;
-        Counter &promotions, &dataMovements;
-        Counter &demandMisses, &prefetchMisses, &writebackFills;
-        Counter &baseEvictions, &memWritebacks, &backInvalidations;
-        Counter &fills, &victimInserts, &victimInsertFailures;
-        Counter &dirtyVictimEvictions, &victimSilentEvictions;
-        Counter &victimSilentDisplaced, &victimSilentPartner;
-        Counter &victimSilentWriteGrowth;
-        Counter &coherenceInvalidations, &victimCoherenceInvalidations;
-
-        Counter &silentEvictions(VictimEvictReason reason);
-    };
+    /** The victim_silent_evictions_<reason> counter for `reason`. */
+    Counter &silentEvictions(VictimEvictReason reason);
 
     [[nodiscard]] std::optional<WayIdx> findBase(SetIdx set,
                                                  Addr blk) const
@@ -234,7 +225,6 @@ class BaseVictimLlc : public Llc
     const Compressor &comp_;
     bool inclusive_;
     unsigned quantumSegments_; //!< segments per size-field step
-    HotCounters ctr_;          //!< must follow stats_ initialization
 };
 
 } // namespace bvc

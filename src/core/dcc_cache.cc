@@ -5,33 +5,14 @@
 namespace bvc
 {
 
-DccLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      fills(stats.counter("fills")),
-      evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
-      superblockEvictions(stats.counter("superblock_evictions")),
-      superblockFills(stats.counter("superblock_fills")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
-{
-}
-
 DccLlc::DccLlc(std::size_t sizeBytes, std::size_t physWays,
                const Compressor &comp)
-    : Llc("llc"),
+    : Llc("llc", kStats.names),
       sets_(cacheSetCount(sizeBytes, physWays, "DCC")),
       physWays_(physWays),
       tags_(sets_ * physWays, kInvalidTag),
       subMeta_(sets_ * physWays * kSubBlocks, 0),
-      comp_(comp),
-      ctr_(stats_)
+      comp_(comp)
 {
     repl_ = std::make_unique<LruPolicy>(sets_, physWays_);
 }
@@ -106,15 +87,15 @@ DccLlc::evictSuperBlock(SetIdx set, WayIdx way, LlcResult &result)
         const Addr addr = base + s * kLineBytes;
         if (subDirty(set, way, s)) {
             result.memWritebacks.push_back(addr);
-            ++ctr_.memWritebacks;
+            ++stats_[kStats["mem_writebacks"]];
         }
         result.backInvalidations.push_back(addr);
-        ++ctr_.backInvalidations;
-        ++ctr_.evictions;
+        ++stats_[kStats["back_invalidations"]];
+        ++stats_[kStats["evictions"]];
     }
     clearSuperBlock(set, way);
     repl_->onInvalidate(set, way);
-    ++ctr_.superblockEvictions;
+    ++stats_[kStats["superblock_evictions"]];
 }
 
 void
@@ -150,13 +131,13 @@ DccLlc::coherenceInvalidate(Addr blk)
         return result;
     if (subDirty(set, *way, sub)) {
         result.memWritebacks.push_back(blk);
-        ++ctr_.memWritebacks;
+        ++stats_[kStats["mem_writebacks"]];
     }
     result.backInvalidations.push_back(blk);
-    ++ctr_.backInvalidations;
+    ++stats_[kStats["back_invalidations"]];
     setSubMeta(set, *way, sub, false, false, kZeroLineSegments);
-    ++ctr_.evictions;
-    ++ctr_.coherenceInvalidations;
+    ++stats_[kStats["evictions"]];
+    ++stats_[kStats["coherence_invalidations"]];
     // Free the tag when the last sub-block leaves the super-block.
     bool any = false;
     for (unsigned s = 0; s < kSubBlocks && !any; ++s)
@@ -176,16 +157,16 @@ DccLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     const unsigned sub = subIndex(blk);
     const bool demand = type == AccessType::Read;
 
-    ++ctr_.accesses;
+    ++stats_[kStats["accesses"]];
     if (demand)
-        ++ctr_.demandAccesses;
+        ++stats_[kStats["demand_accesses"]];
 
     std::optional<WayIdx> way = findWay(set, blk);
     if (way && present(set, *way, sub)) {
         // Sub-block hit.
         result.hit = true;
         if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
+            ++stats_[kStats["writeback_hits"]];
             const SegCount newSegs = compressedSegmentsFor(comp_, data);
             // Growth may overflow the pool; DCC frees other
             // super-blocks (no re-compaction needed: indirection).
@@ -203,10 +184,10 @@ DccLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
             }
             setSubMeta(set, *way, sub, true, true, newSegs);
         } else if (demand) {
-            ++ctr_.demandHits;
+            ++stats_[kStats["demand_hits"]];
             repl_->onHit(set, *way);
         } else {
-            ++ctr_.prefetchHits;
+            ++stats_[kStats["prefetch_hits"]];
         }
         return result;
     }
@@ -215,9 +196,9 @@ DccLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         panic("DccLlc: writeback miss violates inclusion");
 
     if (demand)
-        ++ctr_.demandMisses;
+        ++stats_[kStats["demand_misses"]];
     else
-        ++ctr_.prefetchMisses;
+        ++stats_[kStats["prefetch_misses"]];
 
     const SegCount segments = compressedSegmentsFor(comp_, data);
     const bool needTag = !way.has_value();
@@ -229,12 +210,12 @@ DccLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         way = freeWay(set);
         panicIf(!way, "DCC: no free tag after makeRoom");
         tags_[tagIndex(set, *way)] = superTag(blk);
-        ++ctr_.superblockFills;
+        ++stats_[kStats["superblock_fills"]];
     }
 
     setSubMeta(set, *way, sub, true, false, segments);
     repl_->onFill(set, *way);
-    ++ctr_.fills;
+    ++stats_[kStats["fills"]];
     return result;
 }
 

@@ -148,18 +148,13 @@ class DccLlc : public Llc
     /** First invalid super-block tag of `set`, if any. */
     [[nodiscard]] std::optional<WayIdx> freeWay(SetIdx set) const;
 
-    /** Per-access counters resolved once (no string lookups per hit). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &demandHits, &prefetchHits;
-        Counter &demandMisses, &prefetchMisses, &fills;
-        Counter &evictions, &memWritebacks, &backInvalidations;
-        Counter &superblockEvictions, &superblockFills;
-        Counter &coherenceInvalidations;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "accesses", "demand_accesses", "writeback_hits", "demand_hits",
+        "prefetch_hits", "demand_misses", "prefetch_misses", "fills",
+        "evictions", "mem_writebacks", "back_invalidations",
+        "superblock_evictions", "superblock_fills",
+        "coherence_invalidations"};
 
     std::size_t sets_;
     std::size_t physWays_;
@@ -167,7 +162,6 @@ class DccLlc : public Llc
     std::vector<std::uint8_t> subMeta_; // packed per-sub-block metadata
     std::unique_ptr<LruPolicy> repl_;   //!< super-block granularity
     const Compressor &comp_;
-    HotCounters ctr_;
 };
 
 } // namespace bvc

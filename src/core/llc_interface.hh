@@ -15,6 +15,7 @@
 #define BVC_CORE_LLC_INTERFACE_HH_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +58,16 @@ struct LlcResult
 class Llc
 {
   public:
-    explicit Llc(std::string statName) : stats_(std::move(statName)) {}
+    /**
+     * @param statName prefix of the counter group's dump lines
+     * @param names    the model's counter names (a wrapper that exposes
+     *                 another model's counters keeps none of its own)
+     */
+    explicit Llc(std::string statName,
+                 std::span<const char *const> names = {})
+        : stats_(std::move(statName), names)
+    {
+    }
     virtual ~Llc() = default;
 
     /**

@@ -5,36 +5,14 @@
 namespace bvc
 {
 
-TwoTagLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      compressions(stats.counter("compressions")),
-      decompressions(stats.counter("decompressions")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      fills(stats.counter("fills")),
-      evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
-      partnerEvictionsOnWrite(
-          stats.counter("partner_evictions_on_write")),
-      partnerEvictionsOnFill(stats.counter("partner_evictions_on_fill")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
-{
-}
-
 TwoTagLlc::TwoTagLlc(std::string statName, std::size_t sizeBytes,
                      std::size_t physWays, ReplacementKind repl,
                      const Compressor &comp)
-    : Llc(std::move(statName)),
+    : Llc(std::move(statName), kStats.names),
       sets_(cacheSetCount(sizeBytes, physWays, "two-tag LLC")),
       physWays_(physWays),
       tags_(sets_, physWays * 2),
-      comp_(comp),
-      ctr_(stats_)
+      comp_(comp)
 {
     repl_ = makeReplacement(repl, sets_, numSlots());
 }
@@ -65,13 +43,13 @@ TwoTagLlc::evictSlot(SetIdx set, WayIdx s, LlcResult &result)
 {
     panicIf(!tags_.valid(set, s), "TwoTagLlc: evicting invalid slot");
     const Addr victimTag = tags_.tag(set, s);
-    ++ctr_.evictions;
+    ++stats_[kStats["evictions"]];
     if (tags_.dirty(set, s)) {
         result.memWritebacks.push_back(victimTag);
-        ++ctr_.memWritebacks;
+        ++stats_[kStats["mem_writebacks"]];
     }
     result.backInvalidations.push_back(victimTag);
-    ++ctr_.backInvalidations;
+    ++stats_[kStats["back_invalidations"]];
     tags_.invalidate(set, s);
     repl_->onInvalidate(set, s);
 }
@@ -84,9 +62,9 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     const std::optional<WayIdx> s = findSlot(set, blk);
     const bool demand = type == AccessType::Read;
 
-    ++ctr_.accesses;
+    ++stats_[kStats["accesses"]];
     if (demand)
-        ++ctr_.demandAccesses;
+        ++stats_[kStats["demand_accesses"]];
 
     // Doubled tags cost one extra lookup cycle on every access (Sec V).
     result.extraLatency = 1;
@@ -100,27 +78,27 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
             result.extraLatency +=
                 decompressLatencyFor(comp_, storedSegs);
             if (needsDecompression(storedSegs))
-                ++ctr_.decompressions;
+                ++stats_[kStats["decompressions"]];
         }
 
         if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
+            ++stats_[kStats["writeback_hits"]];
             tags_.setDirty(set, *s, true);
             const SegCount newSegs = compressedSegmentsFor(comp_, data);
-            ++ctr_.compressions;
+            ++stats_[kStats["compressions"]];
             if (newSegs > storedSegs && !fits(set, *s, newSegs) &&
                 tags_.valid(set, partnerOf(*s))) {
                 // The rewritten line grew past its partner: evict the
                 // partner (write hit scenario, Section IV.B.5 analog).
-                ++ctr_.partnerEvictionsOnWrite;
+                ++stats_[kStats["partner_evictions_on_write"]];
                 evictSlot(set, partnerOf(*s), result);
             }
             tags_.setSegments(set, *s, newSegs);
         } else if (demand) {
-            ++ctr_.demandHits;
+            ++stats_[kStats["demand_hits"]];
             repl_->onHit(set, *s);
         } else {
-            ++ctr_.prefetchHits;
+            ++stats_[kStats["prefetch_hits"]];
         }
         return result;
     }
@@ -129,12 +107,12 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         panic("TwoTagLlc: writeback miss violates inclusion");
 
     if (demand)
-        ++ctr_.demandMisses;
+        ++stats_[kStats["demand_misses"]];
     else
-        ++ctr_.prefetchMisses;
+        ++stats_[kStats["prefetch_misses"]];
 
     const SegCount segments = compressedSegmentsFor(comp_, data);
-    ++ctr_.compressions;
+    ++stats_[kStats["compressions"]];
 
     // Both schemes allocate a fitting invalid tag slot first (normal
     // cache allocation); they differ in victim selection when none is
@@ -154,7 +132,7 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     }
     if (!fits(set, *fillSlot, segments)) {
         // Partner line victimization (Section III option 1).
-        ++ctr_.partnerEvictionsOnFill;
+        ++stats_[kStats["partner_evictions_on_fill"]];
         evictSlot(set, partnerOf(*fillSlot), result);
     }
 
@@ -165,7 +143,7 @@ TwoTagLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     fill.segments = segments;
     tags_.install(set, *fillSlot, fill);
     repl_->onFill(set, *fillSlot);
-    ++ctr_.fills;
+    ++stats_[kStats["fills"]];
     return result;
 }
 
@@ -176,7 +154,7 @@ TwoTagLlc::coherenceInvalidate(Addr blk)
     const SetIdx set = setIndex(blk);
     if (const std::optional<WayIdx> s = findSlot(set, blk)) {
         evictSlot(set, *s, result);
-        ++ctr_.coherenceInvalidations;
+        ++stats_[kStats["coherence_invalidations"]];
     }
     return result;
 }

@@ -100,26 +100,19 @@ class TwoTagLlc : public Llc
     /** Evict one slot: writeback accounting + back-invalidation. */
     void evictSlot(SetIdx set, WayIdx s, LlcResult &result);
 
-    /** Per-access counters resolved once (no string lookups per hit). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &compressions, &decompressions;
-        Counter &demandHits, &prefetchHits;
-        Counter &demandMisses, &prefetchMisses, &fills;
-        Counter &evictions, &memWritebacks, &backInvalidations;
-        Counter &partnerEvictionsOnWrite, &partnerEvictionsOnFill;
-        Counter &coherenceInvalidations;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "accesses", "demand_accesses", "writeback_hits", "compressions",
+        "decompressions", "demand_hits", "prefetch_hits", "demand_misses",
+        "prefetch_misses", "fills", "evictions", "mem_writebacks",
+        "back_invalidations", "partner_evictions_on_write",
+        "partner_evictions_on_fill", "coherence_invalidations"};
 
     std::size_t sets_;
     std::size_t physWays_;
     TagArray tags_; // SoA: sets_ x (2*physWays_) logical slots
     std::unique_ptr<ReplacementPolicy> repl_;
     const Compressor &comp_;
-    HotCounters ctr_;
 };
 
 /** Section III option 1: partner line victimization (Figure 6). */

@@ -7,29 +7,12 @@
 namespace bvc
 {
 
-UncompressedLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      backInvalidations(stats.counter("back_invalidations")),
-      fills(stats.counter("fills")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
-{
-}
-
 UncompressedLlc::UncompressedLlc(std::size_t sizeBytes, std::size_t ways,
                                  ReplacementKind repl)
-    : Llc("llc"),
+    : Llc("llc", kStats.names),
       sets_(cacheSetCount(sizeBytes, ways, "LLC")),
       ways_(ways),
-      tags_(sets_, ways_),
-      ctr_(stats_)
+      tags_(sets_, ways_)
 {
     repl_ = makeReplacement(repl, sets_, ways_);
 }
@@ -48,21 +31,21 @@ UncompressedLlc::access(Addr blk, AccessType type, const std::uint8_t *)
     const std::optional<WayIdx> way = findWay(set, blk);
     const bool demand = type == AccessType::Read;
 
-    ++ctr_.accesses;
+    ++stats_[kStats["accesses"]];
     if (demand)
-        ++ctr_.demandAccesses;
+        ++stats_[kStats["demand_accesses"]];
 
     if (way) {
         // Hit. Only demand accesses promote; writebacks just set dirty.
         result.hit = true;
         if (type == AccessType::Writeback) {
             tags_.setDirty(set, *way, true);
-            ++ctr_.writebackHits;
+            ++stats_[kStats["writeback_hits"]];
         } else if (demand) {
             repl_->onHit(set, *way);
-            ++ctr_.demandHits;
+            ++stats_[kStats["demand_hits"]];
         } else {
-            ++ctr_.prefetchHits;
+            ++stats_[kStats["prefetch_hits"]];
         }
         return result;
     }
@@ -73,9 +56,9 @@ UncompressedLlc::access(Addr blk, AccessType type, const std::uint8_t *)
     }
 
     if (demand)
-        ++ctr_.demandMisses;
+        ++stats_[kStats["demand_misses"]];
     else
-        ++ctr_.prefetchMisses;
+        ++stats_[kStats["prefetch_misses"]];
 
     // Fill: invalid way first, then the policy's victim.
     std::optional<WayIdx> fillWay = tags_.firstInvalid(set);
@@ -84,13 +67,13 @@ UncompressedLlc::access(Addr blk, AccessType type, const std::uint8_t *)
 
     if (tags_.valid(set, *fillWay)) {
         const Addr victimTag = tags_.tag(set, *fillWay);
-        ++ctr_.evictions;
+        ++stats_[kStats["evictions"]];
         if (tags_.dirty(set, *fillWay)) {
             result.memWritebacks.push_back(victimTag);
-            ++ctr_.memWritebacks;
+            ++stats_[kStats["mem_writebacks"]];
         }
         result.backInvalidations.push_back(victimTag);
-        ++ctr_.backInvalidations;
+        ++stats_[kStats["back_invalidations"]];
     }
 
     CacheLine fill;
@@ -100,7 +83,7 @@ UncompressedLlc::access(Addr blk, AccessType type, const std::uint8_t *)
     fill.segments = kFullLineSegments;
     tags_.install(set, *fillWay, fill);
     repl_->onFill(set, *fillWay);
-    ++ctr_.fills;
+    ++stats_[kStats["fills"]];
     return result;
 }
 
@@ -114,13 +97,13 @@ UncompressedLlc::coherenceInvalidate(Addr blk)
         return result;
     if (tags_.dirty(set, *way)) {
         result.memWritebacks.push_back(blk);
-        ++ctr_.memWritebacks;
+        ++stats_[kStats["mem_writebacks"]];
     }
     result.backInvalidations.push_back(blk);
-    ++ctr_.backInvalidations;
+    ++stats_[kStats["back_invalidations"]];
     tags_.invalidate(set, *way);
     repl_->onInvalidate(set, *way);
-    ++ctr_.coherenceInvalidations;
+    ++stats_[kStats["coherence_invalidations"]];
     return result;
 }
 

@@ -71,17 +71,12 @@ class UncompressedLlc : public Llc
     }
 
   private:
-    /** Counter references resolved once; no per-access map lookups. */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &demandHits, &prefetchHits;
-        Counter &demandMisses, &prefetchMisses;
-        Counter &evictions, &memWritebacks, &backInvalidations;
-        Counter &fills, &coherenceInvalidations;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "accesses", "demand_accesses", "writeback_hits", "demand_hits",
+        "prefetch_hits", "demand_misses", "prefetch_misses", "evictions",
+        "mem_writebacks", "back_invalidations", "fills",
+        "coherence_invalidations"};
 
     [[nodiscard]] std::optional<WayIdx> findWay(SetIdx set,
                                                 Addr blk) const
@@ -93,7 +88,6 @@ class UncompressedLlc : public Llc
     std::size_t ways_;
     TagArray tags_; // SoA: contiguous tags + packed metadata
     std::unique_ptr<ReplacementPolicy> repl_;
-    HotCounters ctr_; //!< must follow stats_ initialization
 };
 
 } // namespace bvc

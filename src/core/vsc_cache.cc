@@ -5,33 +5,14 @@
 namespace bvc
 {
 
-VscLlc::HotCounters::HotCounters(StatGroup &stats)
-    : accesses(stats.counter("accesses")),
-      demandAccesses(stats.counter("demand_accesses")),
-      writebackHits(stats.counter("writeback_hits")),
-      demandHits(stats.counter("demand_hits")),
-      prefetchHits(stats.counter("prefetch_hits")),
-      demandMisses(stats.counter("demand_misses")),
-      prefetchMisses(stats.counter("prefetch_misses")),
-      fills(stats.counter("fills")),
-      evictions(stats.counter("evictions")),
-      memWritebacks(stats.counter("mem_writebacks")),
-      recompactions(stats.counter("recompactions")),
-      fillEvictions(stats.counter("fill_evictions")),
-      multiEvictFills(stats.counter("multi_evict_fills")),
-      coherenceInvalidations(stats.counter("coherence_invalidations"))
-{
-}
-
 VscLlc::VscLlc(std::size_t sizeBytes, std::size_t physWays,
                const Compressor &comp)
-    : Llc("llc"),
+    : Llc("llc", kStats.names),
       sets_(cacheSetCount(sizeBytes, physWays, "VSC")),
       physWays_(physWays),
       tagsPerSet_(physWays * 2),
       tags_(sets_, physWays * 2),
-      comp_(comp),
-      ctr_(stats_)
+      comp_(comp)
 {
     repl_ = std::make_unique<LruPolicy>(sets_, tagsPerSet_);
 }
@@ -64,12 +45,12 @@ VscLlc::evictSlot(SetIdx set, WayIdx victim, LlcResult &result)
 {
     if (tags_.dirty(set, victim)) {
         result.memWritebacks.push_back(tags_.tag(set, victim));
-        ++ctr_.memWritebacks;
+        ++stats_[kStats["mem_writebacks"]];
     }
     result.backInvalidations.push_back(tags_.tag(set, victim));
     tags_.invalidate(set, victim);
     repl_->onInvalidate(set, victim);
-    ++ctr_.evictions;
+    ++stats_[kStats["evictions"]];
 }
 
 LlcResult
@@ -79,7 +60,7 @@ VscLlc::coherenceInvalidate(Addr blk)
     const SetIdx set = setIndex(blk);
     if (const std::optional<WayIdx> s = findSlot(set, blk)) {
         evictSlot(set, *s, result);
-        ++ctr_.coherenceInvalidations;
+        ++stats_[kStats["coherence_invalidations"]];
     }
     return result;
 }
@@ -92,16 +73,16 @@ VscLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     const std::optional<WayIdx> s = findSlot(set, blk);
     const bool demand = type == AccessType::Read;
 
-    ++ctr_.accesses;
+    ++stats_[kStats["accesses"]];
     if (demand)
-        ++ctr_.demandAccesses;
+        ++stats_[kStats["demand_accesses"]];
 
     const SegCount capacity{physWays_ * kSegmentsPerLine};
 
     if (s) {
         result.hit = true;
         if (type == AccessType::Writeback) {
-            ++ctr_.writebackHits;
+            ++stats_[kStats["writeback_hits"]];
             tags_.setDirty(set, *s, true);
             // A grown line may force evictions to stay within capacity;
             // this is VSC's re-compaction overhead (drawback 1, Sec II).
@@ -115,12 +96,12 @@ VscLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
                     break;
                 }
             }
-            ++ctr_.recompactions;
+            ++stats_[kStats["recompactions"]];
         } else if (demand) {
-            ++ctr_.demandHits;
+            ++stats_[kStats["demand_hits"]];
             repl_->onHit(set, *s);
         } else {
-            ++ctr_.prefetchHits;
+            ++stats_[kStats["prefetch_hits"]];
         }
         return result;
     }
@@ -129,9 +110,9 @@ VscLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         panic("VscLlc: writeback miss violates inclusion");
 
     if (demand)
-        ++ctr_.demandMisses;
+        ++stats_[kStats["demand_misses"]];
     else
-        ++ctr_.prefetchMisses;
+        ++stats_[kStats["prefetch_misses"]];
 
     const SegCount segments = compressedSegmentsFor(comp_, data);
 
@@ -155,9 +136,9 @@ VscLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
         if (!fillSlot)
             fillSlot = victim;
     }
-    ctr_.fillEvictions += lastFillEvictions_;
+    stats_[kStats["fill_evictions"]] += lastFillEvictions_;
     if (lastFillEvictions_ > 1)
-        ++ctr_.multiEvictFills;
+        ++stats_[kStats["multi_evict_fills"]];
 
     CacheLine fill;
     fill.tag = blk;
@@ -166,7 +147,7 @@ VscLlc::access(Addr blk, AccessType type, const std::uint8_t *data)
     fill.segments = segments;
     tags_.install(set, *fillSlot, fill);
     repl_->onFill(set, *fillSlot);
-    ++ctr_.fills;
+    ++stats_[kStats["fills"]];
     return result;
 }
 

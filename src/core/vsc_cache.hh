@@ -78,18 +78,12 @@ class VscLlc : public Llc
     /** Evict the line in `victim`, with writeback accounting. */
     void evictSlot(SetIdx set, WayIdx victim, LlcResult &result);
 
-    /** Per-access counters resolved once (no string lookups per hit). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &accesses, &demandAccesses;
-        Counter &writebackHits, &demandHits, &prefetchHits;
-        Counter &demandMisses, &prefetchMisses, &fills;
-        Counter &evictions, &memWritebacks, &recompactions;
-        Counter &fillEvictions, &multiEvictFills;
-        Counter &coherenceInvalidations;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "accesses", "demand_accesses", "writeback_hits", "demand_hits",
+        "prefetch_hits", "demand_misses", "prefetch_misses", "fills",
+        "evictions", "mem_writebacks", "recompactions", "fill_evictions",
+        "multi_evict_fills", "coherence_invalidations"};
 
     std::size_t sets_;
     std::size_t physWays_;
@@ -98,7 +92,6 @@ class VscLlc : public Llc
     std::unique_ptr<LruPolicy> repl_;
     const Compressor &comp_;
     unsigned lastFillEvictions_ = 0;
-    HotCounters ctr_;
 };
 
 } // namespace bvc

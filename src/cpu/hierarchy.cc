@@ -7,22 +7,6 @@
 namespace bvc
 {
 
-Hierarchy::HotCounters::HotCounters(StatGroup &stats)
-    : loads(stats.counter("loads")),
-      stores(stats.counter("stores")),
-      fetches(stats.counter("fetches")),
-      llcWritebacks(stats.counter("llc_writebacks")),
-      backInvalWritebacks(stats.counter("back_inval_writebacks")),
-      l1Writebacks(stats.counter("l1_writebacks")),
-      l2Writebacks(stats.counter("l2_writebacks")),
-      dramDemandReads(stats.counter("dram_demand_reads")),
-      dramPrefetchReads(stats.counter("dram_prefetch_reads")),
-      l2PrefetchFills(stats.counter("l2_prefetch_fills")),
-      llcDemandAccesses(stats.counter("llc_demand_accesses")),
-      llcDemandHits(stats.counter("llc_demand_hits"))
-{
-}
-
 Hierarchy::Hierarchy(const HierarchyConfig &cfg, Llc &llc, Dram &dram,
                      FunctionalMemory &mem)
     : cfg_(cfg),
@@ -32,11 +16,7 @@ Hierarchy::Hierarchy(const HierarchyConfig &cfg, Llc &llc, Dram &dram,
       l1i_("l1i", cfg.l1iBytes, cfg.l1iWays, cfg.l1Repl, cfg.l1Latency),
       l1d_("l1d", cfg.l1dBytes, cfg.l1dWays, cfg.l1Repl, cfg.l1Latency),
       l2_("l2", cfg.l2Bytes, cfg.l2Ways, cfg.l2Repl, cfg.l2Latency),
-      l1Prefetcher_("l1pf"),
-      l2Prefetcher_("l2pf"),
-      llcPrefetcher_("llcpf"),
-      stats_("hier"),
-      ctr_(stats_)
+      stats_("hier", kStats.names)
 {
     // Single-core default: back-invalidations only concern this core.
     backInvalidate_ = [this](Addr blk) { return invalidateUpper(blk); };
@@ -86,7 +66,7 @@ Hierarchy::handleLlcResult(const LlcResult &result, Cycle cycle)
 {
     for (const Addr wb : result.memWritebacks) {
         dram_.write(wb, cycle);
-        ++ctr_.llcWritebacks;
+        ++stats_[kStats["llc_writebacks"]];
     }
     for (const Addr blk : result.backInvalidations) {
         const bool dirtyAbove = backInvalidate_(blk);
@@ -102,7 +82,7 @@ Hierarchy::handleLlcResult(const LlcResult &result, Cycle cycle)
                       blk) != result.memWritebacks.end();
         if (!alreadyWritten) {
             dram_.write(blk, cycle);
-            ++ctr_.backInvalWritebacks;
+            ++stats_[kStats["back_inval_writebacks"]];
         }
     }
 }
@@ -118,7 +98,7 @@ Hierarchy::handleL2Eviction(const Eviction &evicted, Cycle cycle)
         panicIf(cfg_.llcInclusive && !result.hit,
                 "L2 writeback missed the inclusive LLC");
         handleLlcResult(result, cycle);
-        ++ctr_.l2Writebacks;
+        ++stats_[kStats["l2_writebacks"]];
     }
     // Hierarchy-aware replacement (CHAR) learns from L2 evictions.
     llc_.downgradeHint(evicted.addr);
@@ -129,7 +109,7 @@ Hierarchy::handleL1Eviction(const Eviction &evicted, Cycle cycle)
 {
     if (!evicted.dirty)
         return;
-    ++ctr_.l1Writebacks;
+    ++stats_[kStats["l1_writebacks"]];
     if (l1i_.probe(evicted.addr) || l1d_.probe(evicted.addr))
         return; // another L1 still holds it; keep it simple and rare
     if (l2_.probe(evicted.addr)) {
@@ -167,7 +147,7 @@ Hierarchy::prefetchLine(Addr blk, Cycle cycle, bool intoL2)
         handleLlcResult(result, cycle);
         if (!result.hit) {
             dram_.prefetchRead(blk, cycle);
-            ++ctr_.dramPrefetchReads;
+            ++stats_[kStats["dram_prefetch_reads"]];
         }
     }
 
@@ -176,7 +156,7 @@ Hierarchy::prefetchLine(Addr blk, Cycle cycle, bool intoL2)
         l2_.access(blk, false, evicted);
         if (evicted)
             handleL2Eviction(*evicted, cycle);
-        ++ctr_.l2PrefetchFills;
+        ++stats_[kStats["l2_prefetch_fills"]];
     }
 }
 
@@ -210,9 +190,9 @@ Hierarchy::accessBelowL1(Addr pc, Addr blk, Cycle cycle, bool touched)
     handleLlcResult(result, cycle);
     // Per-core LLC demand view (the shared LLC's own counters cannot
     // attribute hits to cores; the never-worse acceptance test can).
-    ++ctr_.llcDemandAccesses;
+    ++stats_[kStats["llc_demand_accesses"]];
     if (result.hit)
-        ++ctr_.llcDemandHits;
+        ++stats_[kStats["llc_demand_hits"]];
 
     if (cfg_.prefetch) {
         prefetchScratch_.clear();
@@ -224,7 +204,7 @@ Hierarchy::accessBelowL1(Addr pc, Addr blk, Cycle cycle, bool touched)
     if (result.hit)
         return cfg_.llcLatency + result.extraLatency;
 
-    ++ctr_.dramDemandReads;
+    ++stats_[kStats["dram_demand_reads"]];
     const Cycle arrival = cycle + cfg_.llcLatency + result.extraLatency;
     const Cycle done = dram_.read(blk, arrival);
     return static_cast<unsigned>(done - cycle);
@@ -234,7 +214,7 @@ unsigned
 Hierarchy::load(Addr pc, Addr addr, Cycle cycle)
 {
     const Addr blk = blockAddr(addr);
-    ++ctr_.loads;
+    ++stats_[kStats["loads"]];
 
     std::optional<Eviction> evicted;
     const bool hit = l1d_.access(blk, false, evicted);
@@ -270,7 +250,7 @@ Hierarchy::store(Addr pc, Addr addr, std::uint64_t value, Cycle cycle)
     mem_.store64(addr, value);
 
     const Addr blk = blockAddr(addr);
-    ++ctr_.stores;
+    ++stats_[kStats["stores"]];
 
     // Write permission must be acquired even on an L1 hit: a Shared
     // copy hits the L1 but other cores' copies must drop first (MSI
@@ -294,7 +274,7 @@ unsigned
 Hierarchy::fetch(Addr pc, Cycle cycle)
 {
     const Addr blk = blockAddr(pc);
-    ++ctr_.fetches;
+    ++stats_[kStats["fetches"]];
 
     std::optional<Eviction> evicted;
     const bool hit = l1i_.access(blk, false, evicted);

@@ -31,14 +31,14 @@ namespace bvc
 /** Configuration of the private levels (paper defaults, Section V). */
 struct HierarchyConfig
 {
-    std::size_t l1iBytes = 32 * 1024;
-    std::size_t l1iWays = 8;
-    std::size_t l1dBytes = 32 * 1024;
-    std::size_t l1dWays = 8;
-    std::size_t l2Bytes = 256 * 1024;
-    std::size_t l2Ways = 8;
+    std::size_t l1iBytes = 32 * 1024; //!< L1 instruction cache capacity
+    std::size_t l1iWays = 8;          //!< L1I associativity
+    std::size_t l1dBytes = 32 * 1024; //!< L1 data cache capacity
+    std::size_t l1dWays = 8;          //!< L1D associativity
+    std::size_t l2Bytes = 256 * 1024; //!< private unified L2 capacity
+    std::size_t l2Ways = 8;           //!< L2 associativity
     unsigned l1Latency = 3;   //!< load-to-use, cycles
-    unsigned l2Latency = 10;
+    unsigned l2Latency = 10;  //!< load-to-use, cycles
     unsigned llcLatency = 24; //!< base latency; compressed adds extra
     bool prefetch = true;     //!< enable the L1/L2/LLC prefetchers
     /**
@@ -47,8 +47,8 @@ struct HierarchyConfig
      * in the LLC instead (Section IV.B.3 non-inclusive operation).
      */
     bool llcInclusive = true;
-    ReplacementKind l1Repl = ReplacementKind::Lru;
-    ReplacementKind l2Repl = ReplacementKind::Lru;
+    ReplacementKind l1Repl = ReplacementKind::Lru; //!< L1I and L1D policy
+    ReplacementKind l2Repl = ReplacementKind::Lru; //!< L2 policy
 };
 
 /** One core's private hierarchy bound to a shared LLC and DRAM. */
@@ -132,17 +132,12 @@ class Hierarchy
     unsigned accessBelowL1(Addr pc, Addr blk, Cycle cycle,
                            bool touched = false);
 
-    /** Per-access counters resolved once (no string lookups per access). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &loads, &stores, &fetches;
-        Counter &llcWritebacks, &backInvalWritebacks;
-        Counter &l1Writebacks, &l2Writebacks;
-        Counter &dramDemandReads, &dramPrefetchReads, &l2PrefetchFills;
-        Counter &llcDemandAccesses, &llcDemandHits;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "loads", "stores", "fetches", "llc_writebacks",
+        "back_inval_writebacks", "l1_writebacks", "l2_writebacks",
+        "dram_demand_reads", "dram_prefetch_reads", "l2_prefetch_fills",
+        "llc_demand_accesses", "llc_demand_hits"};
 
     /** Process an L2 eviction: writeback or downgrade hint to the LLC. */
     void handleL2Eviction(const Eviction &evicted, Cycle cycle);
@@ -169,7 +164,6 @@ class Hierarchy
     /** L1 proposals: apart, so the fills they issue cannot clobber them. */
     std::vector<Addr> l1PrefetchScratch_;
     StatGroup stats_;
-    HotCounters ctr_; //!< must follow stats_ initialization
 };
 
 } // namespace bvc

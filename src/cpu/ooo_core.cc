@@ -5,20 +5,11 @@
 namespace bvc
 {
 
-OooCore::HotCounters::HotCounters(StatGroup &stats)
-    : robStallEvents(stats.counter("rob_stall_events")),
-      loads(stats.counter("loads")),
-      loadLatencySum(stats.counter("load_latency_sum")),
-      stores(stats.counter("stores"))
-{
-}
-
 OooCore::OooCore(const CoreConfig &cfg, Hierarchy &hierarchy)
     : cfg_(cfg),
       hier_(hierarchy),
       rob_(cfg.robSize, 0),
-      stats_("core"),
-      ctr_(stats_)
+      stats_("core", kStats.names)
 {
 }
 
@@ -44,7 +35,7 @@ OooCore::stepRecord(const TraceRecord &record)
         fetch = rob_[slot];
         fetchCycle_ = fetch;
         slotInCycle_ = 0;
-        ++ctr_.robStallEvents;
+        ++stats_[kStats["rob_stall_events"]];
     }
 
     // Model instruction fetch once per new line of code.
@@ -70,8 +61,8 @@ OooCore::stepRecord(const TraceRecord &record)
                                             issue);
         complete = issue + latency;
         lastLoadComplete_ = complete;
-        ++ctr_.loads;
-        ctr_.loadLatencySum += latency;
+        ++stats_[kStats["loads"]];
+        stats_[kStats["load_latency_sum"]] += latency;
         break;
       }
       case InstrKind::Store:
@@ -79,7 +70,7 @@ OooCore::stepRecord(const TraceRecord &record)
         // the cache access still happens (and has timing side effects).
         hier_.store(record.pc, record.addr, record.value, fetch);
         complete = fetch + 1;
-        ++ctr_.stores;
+        ++stats_[kStats["stores"]];
         break;
       case InstrKind::NonMem:
         break;

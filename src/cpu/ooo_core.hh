@@ -33,9 +33,9 @@ namespace bvc
 /** Core parameters (paper-inspired defaults). */
 struct CoreConfig
 {
-    unsigned fetchWidth = 4;
-    unsigned robSize = 224;
-    unsigned nonMemLatency = 1;
+    unsigned fetchWidth = 4;    //!< instructions fetched per cycle
+    unsigned robSize = 224;     //!< reorder-buffer entries
+    unsigned nonMemLatency = 1; //!< cycles for a non-memory instruction
     /** Model instruction fetch through the L1I (small extra cost). */
     bool modelIfetch = true;
 };
@@ -43,9 +43,9 @@ struct CoreConfig
 /** Result of a (partial) run. */
 struct CoreResult
 {
-    std::uint64_t instructions = 0;
-    Cycle cycles = 0;
-    double ipc = 0.0;
+    std::uint64_t instructions = 0; //!< instructions retired
+    Cycle cycles = 0;               //!< cycles elapsed
+    double ipc = 0.0;               //!< instructions / cycles
 };
 
 /** Sliding-window OOO core bound to one hierarchy. */
@@ -89,14 +89,9 @@ class OooCore
     StatGroup &stats() { return stats_; }
 
   private:
-    /** Per-instruction counters resolved once (no string lookups). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &robStallEvents;
-        Counter &loads, &loadLatencySum, &stores;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "rob_stall_events", "loads", "load_latency_sum", "stores"};
 
     CoreConfig cfg_;
     Hierarchy &hier_;
@@ -113,7 +108,6 @@ class OooCore
     Cycle measureStartCycle_ = 0;
 
     StatGroup stats_;
-    HotCounters ctr_; //!< must follow stats_ initialization
 };
 
 } // namespace bvc

@@ -5,24 +5,12 @@
 namespace bvc
 {
 
-Dram::HotCounters::HotCounters(StatGroup &stats)
-    : rowHits(stats.counter("row_hits")),
-      rowClosed(stats.counter("row_closed")),
-      rowConflicts(stats.counter("row_conflicts")),
-      reads(stats.counter("reads")),
-      writes(stats.counter("writes")),
-      prefetchReads(stats.counter("prefetch_reads")),
-      busyCycles(stats.counter("busy_cycles"))
-{
-}
-
 Dram::Dram(const DramTiming &timing, const DramGeometry &geometry)
     : timing_(timing),
       geometry_(geometry),
       banks_(geometry.channels * geometry.banksPerChannel),
       busReady_(geometry.channels, 0),
-      stats_("dram"),
-      ctr_(stats_)
+      stats_("dram", kStats.names)
 {
 }
 
@@ -68,14 +56,14 @@ Dram::service(Addr blk, Cycle cycle, bool isWrite)
 
     unsigned accessMem; // memory-clock cycles until data
     if (bank.rowOpen && bank.openRow == row) {
-        ++ctr_.rowHits;
+        ++stats_[kStats["row_hits"]];
         accessMem = timing_.tCl;
     } else if (!bank.rowOpen) {
-        ++ctr_.rowClosed;
+        ++stats_[kStats["row_closed"]];
         accessMem = timing_.tRcd + timing_.tCl;
         bank.activateCycle = start;
     } else {
-        ++ctr_.rowConflicts;
+        ++stats_[kStats["row_conflicts"]];
         // Precharge may not cut the open row's tRAS short.
         const Cycle rasDone = bank.activateCycle +
             static_cast<Cycle>(timing_.tRas) * mult;
@@ -96,8 +84,8 @@ Dram::service(Addr blk, Cycle cycle, bool isWrite)
     busReady_[channel] = dataDone;
     bank.readyCycle = dataDone;
 
-    ++(isWrite ? ctr_.writes : ctr_.reads);
-    ctr_.busyCycles += static_cast<Cycle>(timing_.tBurst) * mult;
+    ++stats_[isWrite ? kStats["writes"] : kStats["reads"]];
+    stats_[kStats["busy_cycles"]] += static_cast<Cycle>(timing_.tBurst) * mult;
     return dataDone;
 }
 
@@ -123,14 +111,15 @@ Dram::prefetchRead(Addr blk, Cycle)
     const std::uint64_t row = rowOf(blk);
 
     if (bank.rowOpen && bank.openRow == row) {
-        ++ctr_.rowHits;
+        ++stats_[kStats["row_hits"]];
     } else {
-        ++(bank.rowOpen ? ctr_.rowConflicts : ctr_.rowClosed);
+        ++stats_[bank.rowOpen ? kStats["row_conflicts"]
+                              : kStats["row_closed"]];
         bank.rowOpen = true;
         bank.openRow = row;
     }
-    ++ctr_.reads;
-    ++ctr_.prefetchReads;
+    ++stats_[kStats["reads"]];
+    ++stats_[kStats["prefetch_reads"]];
 }
 
 } // namespace bvc

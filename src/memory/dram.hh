@@ -44,8 +44,8 @@ struct DramTiming
  */
 struct DramGeometry
 {
-    unsigned channels = 2;
-    unsigned banksPerChannel = 8;
+    unsigned channels = 2;        //!< independent channels
+    unsigned banksPerChannel = 8; //!< banks per channel
     /**
      * log2 of the per-channel row-buffer span in bytes of the flat
      * address space: bits [6, columnShift) select the column, so a
@@ -94,21 +94,17 @@ class Dram
     std::uint64_t rowOf(Addr blk) const;
 
   private:
-    /** Per-request counters resolved once (no string lookups). */
-    struct HotCounters
-    {
-        explicit HotCounters(StatGroup &stats);
-
-        Counter &rowHits, &rowClosed, &rowConflicts;
-        Counter &reads, &writes, &prefetchReads, &busyCycles;
-    };
+    /** Counter names, declared once; index with kStats["name"]. */
+    static constexpr StatNames kStats{
+        "row_hits", "row_closed", "row_conflicts", "reads", "writes",
+        "prefetch_reads", "busy_cycles"};
 
     struct Bank
     {
-        bool rowOpen = false;
-        std::uint64_t openRow = 0;
-        Cycle readyCycle = 0;    //!< bank free for a new command
-        Cycle activateCycle = 0; //!< when the open row was activated
+        bool rowOpen = false;      //!< a row is latched in the buffer
+        std::uint64_t openRow = 0; //!< that row, valid when rowOpen
+        Cycle readyCycle = 0;      //!< bank free for a new command
+        Cycle activateCycle = 0;   //!< when the open row was activated
     };
 
     /** Common read/write service path; returns data-available cycle. */
@@ -119,7 +115,6 @@ class Dram
     std::vector<Bank> banks_;        // channels x banks
     std::vector<Cycle> busReady_;    // per channel
     StatGroup stats_;
-    HotCounters ctr_; //!< must follow stats_ initialization
 };
 
 } // namespace bvc

@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "util/stats.hh"
 #include "util/types.hh"
 
 namespace bvc
@@ -21,12 +20,6 @@ namespace bvc
 class Prefetcher
 {
   public:
-    explicit Prefetcher(std::string statName)
-        : stats_(std::move(statName)),
-          issued_(stats_.counter("issued"))
-    {
-    }
-
     virtual ~Prefetcher() = default;
 
     /**
@@ -38,12 +31,6 @@ class Prefetcher
      */
     virtual void observe(Addr pc, Addr blk, bool miss,
                          std::vector<Addr> &out) = 0;
-
-    StatGroup &stats() { return stats_; }
-
-  protected:
-    StatGroup stats_;
-    Counter &issued_; //!< hot counter resolved once (no string lookups)
 };
 
 } // namespace bvc

@@ -3,11 +3,9 @@
 namespace bvc
 {
 
-StreamPrefetcher::StreamPrefetcher(std::string statName,
-                                   std::size_t streams, unsigned degree,
+StreamPrefetcher::StreamPrefetcher(std::size_t streams, unsigned degree,
                                    unsigned distance)
-    : Prefetcher(std::move(statName)),
-      streams_(streams),
+    : streams_(streams),
       degree_(degree),
       distance_(distance)
 {
@@ -92,7 +90,6 @@ StreamPrefetcher::observe(Addr, Addr blk, bool, std::vector<Addr> &out)
             if (target <= 0)
                 break;
             out.push_back(blockAddr(static_cast<Addr>(target)));
-            ++issued_;
         }
     }
 }

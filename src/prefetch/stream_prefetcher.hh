@@ -19,14 +19,12 @@ namespace bvc
 class StreamPrefetcher : public Prefetcher
 {
   public:
-    /**
-     * @param streams  concurrent streams tracked
-     * @param degree   prefetches per trained trigger
-     * @param distance how far ahead of the demand stream to run
-     */
-    StreamPrefetcher(std::string statName, std::size_t streams = 16,
-                     unsigned degree = 2, unsigned distance = 4);
+    explicit StreamPrefetcher(
+        std::size_t streams = 16, //!< concurrent streams tracked
+        unsigned degree = 2,      //!< prefetches per trained trigger
+        unsigned distance = 4);   //!< blocks run ahead of the demand
 
+    /** Train the matching stream and append the blocks it runs ahead. */
     void observe(Addr pc, Addr blk, bool miss,
                  std::vector<Addr> &out) override;
 
@@ -36,9 +34,9 @@ class StreamPrefetcher : public Prefetcher
         Addr region = 0;       //!< region base (4KB aligned)
         unsigned lastBlock = 0; //!< last block index within region
         int direction = 0;      //!< +1 / -1 once learned
-        unsigned confidence = 0;
-        bool valid = false;
-        Tick lastUse = 0;
+        unsigned confidence = 0; //!< direction confirmations so far
+        bool valid = false;      //!< the slot tracks a stream
+        Tick lastUse = 0;        //!< LRU stamp for slot replacement
     };
 
     static constexpr unsigned kRegionShift = 12; // 4KB regions

@@ -3,10 +3,8 @@
 namespace bvc
 {
 
-StridePrefetcher::StridePrefetcher(std::string statName,
-                                   std::size_t entries, unsigned degree)
-    : Prefetcher(std::move(statName)),
-      table_(entries),
+StridePrefetcher::StridePrefetcher(std::size_t entries, unsigned degree)
+    : table_(entries),
       degree_(degree)
 {
 }
@@ -49,7 +47,6 @@ StridePrefetcher::observe(Addr pc, Addr blk, bool, std::vector<Addr> &out)
             if (target <= 0)
                 break;
             out.push_back(blockAddr(static_cast<Addr>(target)));
-            ++issued_;
         }
     }
 }

@@ -16,24 +16,22 @@ namespace bvc
 class StridePrefetcher : public Prefetcher
 {
   public:
-    /**
-     * @param entries table size (direct-mapped by PC hash)
-     * @param degree  prefetches issued per trained access
-     */
-    StridePrefetcher(std::string statName, std::size_t entries = 256,
-                     unsigned degree = 2);
+    explicit StridePrefetcher(
+        std::size_t entries = 256, //!< table size (direct-mapped by PC)
+        unsigned degree = 2);      //!< prefetches per trained access
 
+    /** Train the PC's entry and append strided blocks once confident. */
     void observe(Addr pc, Addr blk, bool miss,
                  std::vector<Addr> &out) override;
 
   private:
     struct Entry
     {
-        Addr pcTag = 0;
-        Addr lastBlk = 0;
-        std::int64_t stride = 0;
-        unsigned confidence = 0;
-        bool valid = false;
+        Addr pcTag = 0;          //!< PC owning the entry
+        Addr lastBlk = 0;        //!< block of the PC's last access
+        std::int64_t stride = 0; //!< last observed stride, bytes
+        unsigned confidence = 0; //!< saturating repeat count
+        bool valid = false;      //!< the entry is trained
     };
 
     static constexpr unsigned kMaxConfidence = 3;

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <thread>
 
 #include "runner/sweep.hh"
@@ -28,16 +29,26 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/** True once `path` holds one complete (newline-terminated) record. */
+bool
+journalHasHeader(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string first;
+    return std::getline(in, first) && !in.eof();
+}
+
 /** Launch one worker attempt; returns its pid. fatal() on fork
  *  failure — without workers there is no campaign to salvage. */
 pid_t
 launchWorker(const WorkerSpec &spec, unsigned attempt)
 {
     // Restarts resume the shard journal; but a worker that died
-    // before creating it (exec failure, early kill) must be
-    // relaunched fresh or the resume open would fail forever.
-    const bool resume =
-        attempt > 0 && ::access(spec.journalPath.c_str(), F_OK) == 0;
+    // before its journal held a header (exec failure, or a kill
+    // between creating the file and writing the header) must be
+    // relaunched fresh, which truncates the file, or the resume open
+    // would fail forever.
+    const bool resume = attempt > 0 && journalHasHeader(spec.journalPath);
     const std::vector<std::string> &argv =
         resume ? spec.resumeArgv : spec.freshArgv;
     panicIf(argv.empty(), "supervisor: worker spec for shard " +

@@ -1,48 +1,65 @@
 #include "util/stats.hh"
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
+
+#include "util/logging.hh"
 
 namespace bvc
 {
 
-Counter &
-StatGroup::counter(const std::string &name)
+StatGroup::StatGroup(std::string name, std::span<const char *const> names)
+    : name_(std::move(name)), names_(names), counters_(names.size())
 {
-    return counters_[name];
+    for (std::size_t i = 0; i < names_.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (std::string_view(names_[i]) == names_[j])
+                panic("StatGroup " + name_ + ": duplicate counter name " +
+                      names_[i]);
 }
 
 std::uint64_t
-StatGroup::get(const std::string &name) const
+StatGroup::get(std::string_view name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
+    for (std::size_t i = 0; i < names_.size(); ++i)
+        if (name == names_[i])
+            return counters_[i].value();
+    return 0;
 }
 
 void
 StatGroup::resetAll()
 {
-    for (auto &entry : counters_)
-        entry.second.reset();
+    for (Counter &c : counters_)
+        c.reset();
 }
 
 std::string
 StatGroup::dump() const
 {
+    std::vector<std::size_t> order(names_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [this](std::size_t a,
+                                                 std::size_t b) {
+        return std::string_view(names_[a]) < names_[b];
+    });
     std::ostringstream out;
-    for (const auto &entry : counters_)
-        out << name_ << '.' << entry.first << ' '
-            << entry.second.value() << '\n';
+    for (const std::size_t i : order)
+        out << name_ << '.' << names_[i] << ' ' << counters_[i].value()
+            << '\n';
     return out.str();
 }
 
-std::vector<std::string>
-StatGroup::names() const
+StatGroup &
+StatGroup::operator+=(const StatGroup &other)
 {
-    std::vector<std::string> result;
-    result.reserve(counters_.size());
-    for (const auto &entry : counters_)
-        result.push_back(entry.first);
-    return result;
+    if (other.names_.data() != names_.data() ||
+        other.names_.size() != names_.size())
+        panic("StatGroup " + name_ + ": += across different counter tables");
+    for (std::size_t i = 0; i < counters_.size(); ++i)
+        counters_[i] += other.counters_[i].value();
+    return *this;
 }
 
 } // namespace bvc

@@ -1,15 +1,10 @@
-// bvlint fixture: violates BV001-BV004, BV006, BV008 and BV009, every
+// bvlint fixture: violates BV002-BV004, BV006, BV008 and BV009, every
 // one waived -> clean. (BV010 is header-only, so it cannot trip here.)
 #include <cassert>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <mutex>
-
-struct StatGroup
-{
-    long &counter(const char *name);
-};
 
 struct Locked
 {
@@ -20,11 +15,8 @@ enum class Kind { A, B };
 
 struct Model
 {
-    StatGroup stats_;
-
     void touch()
     {
-        ++stats_.counter("hits"); // bvlint-allow(BV001)
         // bvlint-allow(BV002)
         (void)rand();
         assert(true); // bvlint-allow(BV004)

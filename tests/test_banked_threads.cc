@@ -73,6 +73,7 @@ TEST(BankedThreads, DisjointBankWritersRaceAggregationSafely)
     constexpr std::size_t kAccessesPerThread = 4000;
     std::atomic<bool> start{false};
     std::atomic<bool> done{false};
+    std::atomic<bool> readOnce{false};
 
     // One writer per bank, each touching ONLY addresses its bank
     // serves — the documented disjoint-banks contract.
@@ -109,6 +110,7 @@ TEST(BankedThreads, DisjointBankWritersRaceAggregationSafely)
             sink += llc->stats().get("accesses");
             sink += llc->validLines();
             sink += llc->name().size();
+            readOnce.store(true, std::memory_order_release);
         }
         EXPECT_GT(sink, 0u);
     });
@@ -116,6 +118,10 @@ TEST(BankedThreads, DisjointBankWritersRaceAggregationSafely)
     start.store(true, std::memory_order_release);
     for (std::thread &t : writers)
         t.join();
+    // On a loaded host the writers can finish before the reader is
+    // first scheduled; stop it only after it has read at least once.
+    while (!readOnce.load(std::memory_order_acquire)) {
+    }
     done.store(true, std::memory_order_release);
     reader.join();
 

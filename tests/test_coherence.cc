@@ -446,7 +446,7 @@ TEST(BankedLlc, BankingIsContentAndStatsTransparent)
         EXPECT_EQ(a->validLines(), b->validLines())
             << llcArchName(arch);
         EXPECT_EQ(a->name(), b->name());
-        for (const std::string &n : a->stats().names())
+        for (const char *n : a->stats().names())
             EXPECT_EQ(a->stats().get(n), b->stats().get(n))
                 << llcArchName(arch) << " counter " << n;
     }

@@ -9,30 +9,39 @@ namespace bvc
 namespace
 {
 
+/** The LLC counters the energy model reads. */
+constexpr StatNames kLlc{"accesses",       "demand_hits",    "prefetch_hits",
+                         "fills",          "writeback_hits", "data_movements",
+                         "compressions",   "decompressions"};
+
+/** The DRAM counters the energy model reads. */
+constexpr StatNames kDram{"reads", "writes", "row_closed", "row_conflicts",
+                          "row_hits"};
+
 StatGroup
 llcStats()
 {
-    StatGroup stats("llc");
-    stats.counter("accesses") += 1000;
-    stats.counter("demand_hits") += 600;
-    stats.counter("prefetch_hits") += 50;
-    stats.counter("fills") += 400;
-    stats.counter("writeback_hits") += 100;
-    stats.counter("data_movements") += 80;
-    stats.counter("compressions") += 500;
-    stats.counter("decompressions") += 300;
+    StatGroup stats("llc", kLlc.names);
+    stats[kLlc["accesses"]] += 1000;
+    stats[kLlc["demand_hits"]] += 600;
+    stats[kLlc["prefetch_hits"]] += 50;
+    stats[kLlc["fills"]] += 400;
+    stats[kLlc["writeback_hits"]] += 100;
+    stats[kLlc["data_movements"]] += 80;
+    stats[kLlc["compressions"]] += 500;
+    stats[kLlc["decompressions"]] += 300;
     return stats;
 }
 
 StatGroup
 dramStats()
 {
-    StatGroup stats("dram");
-    stats.counter("reads") += 400;
-    stats.counter("writes") += 100;
-    stats.counter("row_closed") += 50;
-    stats.counter("row_conflicts") += 200;
-    stats.counter("row_hits") += 250;
+    StatGroup stats("dram", kDram.names);
+    stats[kDram["reads"]] += 400;
+    stats[kDram["writes"]] += 100;
+    stats[kDram["row_closed"]] += 50;
+    stats[kDram["row_conflicts"]] += 200;
+    stats[kDram["row_hits"]] += 250;
     return stats;
 }
 
@@ -89,10 +98,10 @@ TEST(Energy, WordEnablesIrrelevantForUncompressed)
 TEST(Energy, DramEnergyTracksActivationsAndBursts)
 {
     StatGroup llc("llc");
-    StatGroup dramA("dram"), dramB("dram");
-    dramA.counter("reads") += 100;
-    dramB.counter("reads") += 100;
-    dramB.counter("row_conflicts") += 100;
+    StatGroup dramA("dram", kDram.names), dramB("dram", kDram.names);
+    dramA[kDram["reads"]] += 100;
+    dramB[kDram["reads"]] += 100;
+    dramB[kDram["row_conflicts"]] += 100;
     const EnergyBreakdown a = computeEnergy(llc, dramA, 0, false);
     const EnergyBreakdown b = computeEnergy(llc, dramB, 0, false);
     EXPECT_GT(b.dram, a.dram);
@@ -103,11 +112,11 @@ TEST(Energy, FewerDramReadsReduceEnergy)
     // The core effect behind Figure 14: compression pays for itself
     // through read-traffic reduction.
     const auto llc = llcStats();
-    StatGroup dramSmall("dram"), dramBig("dram");
-    dramSmall.counter("reads") += 300;
-    dramSmall.counter("row_conflicts") += 150;
-    dramBig.counter("reads") += 400;
-    dramBig.counter("row_conflicts") += 200;
+    StatGroup dramSmall("dram", kDram.names), dramBig("dram", kDram.names);
+    dramSmall[kDram["reads"]] += 300;
+    dramSmall[kDram["row_conflicts"]] += 150;
+    dramBig[kDram["reads"]] += 400;
+    dramBig[kDram["row_conflicts"]] += 200;
     const EnergyBreakdown small =
         computeEnergy(llc, dramSmall, 1000, true);
     const EnergyBreakdown big = computeEnergy(llc, dramBig, 1000, true);

@@ -15,7 +15,7 @@ namespace
 
 TEST(StridePrefetcher, LearnsConstantStride)
 {
-    StridePrefetcher pf("pf", 256, 2);
+    StridePrefetcher pf(256, 2);
     std::vector<Addr> out;
     const Addr pc = 0x400;
     for (unsigned i = 0; i < 8; ++i) {
@@ -31,7 +31,7 @@ TEST(StridePrefetcher, LearnsConstantStride)
 
 TEST(StridePrefetcher, LearnsNegativeStride)
 {
-    StridePrefetcher pf("pf", 256, 1);
+    StridePrefetcher pf(256, 1);
     std::vector<Addr> out;
     const Addr pc = 0x404;
     for (unsigned i = 0; i < 8; ++i) {
@@ -44,7 +44,7 @@ TEST(StridePrefetcher, LearnsNegativeStride)
 
 TEST(StridePrefetcher, NoPrefetchOnRandomAddresses)
 {
-    StridePrefetcher pf("pf", 256, 2);
+    StridePrefetcher pf(256, 2);
     Rng rng(1);
     std::vector<Addr> out;
     for (unsigned i = 0; i < 100; ++i)
@@ -55,7 +55,7 @@ TEST(StridePrefetcher, NoPrefetchOnRandomAddresses)
 
 TEST(StridePrefetcher, DistinctPcsTrainIndependently)
 {
-    StridePrefetcher pf("pf", 256, 1);
+    StridePrefetcher pf(256, 1);
     std::vector<Addr> a, b;
     for (unsigned i = 0; i < 8; ++i) {
         a.clear();
@@ -71,7 +71,7 @@ TEST(StridePrefetcher, DistinctPcsTrainIndependently)
 
 TEST(StridePrefetcher, SameBlockAccessesAreIgnored)
 {
-    StridePrefetcher pf("pf", 256, 1);
+    StridePrefetcher pf(256, 1);
     std::vector<Addr> out;
     for (unsigned i = 0; i < 20; ++i)
         pf.observe(0x400, 0x10000, true, out);
@@ -80,7 +80,7 @@ TEST(StridePrefetcher, SameBlockAccessesAreIgnored)
 
 TEST(StreamPrefetcher, DetectsAscendingStream)
 {
-    StreamPrefetcher pf("pf", 16, 2, 1);
+    StreamPrefetcher pf(16, 2, 1);
     std::vector<Addr> out;
     for (unsigned i = 0; i < 6; ++i) {
         out.clear();
@@ -92,7 +92,7 @@ TEST(StreamPrefetcher, DetectsAscendingStream)
 
 TEST(StreamPrefetcher, DetectsDescendingStream)
 {
-    StreamPrefetcher pf("pf", 16, 1, 1);
+    StreamPrefetcher pf(16, 1, 1);
     std::vector<Addr> out;
     for (unsigned i = 0; i < 6; ++i) {
         out.clear();
@@ -104,7 +104,7 @@ TEST(StreamPrefetcher, DetectsDescendingStream)
 
 TEST(StreamPrefetcher, TracksMultipleConcurrentStreams)
 {
-    StreamPrefetcher pf("pf", 16, 1, 1);
+    StreamPrefetcher pf(16, 1, 1);
     std::vector<Addr> a, b;
     for (unsigned i = 0; i < 6; ++i) {
         a.clear();
@@ -118,7 +118,7 @@ TEST(StreamPrefetcher, TracksMultipleConcurrentStreams)
 
 TEST(StreamPrefetcher, TrainedStreamCrossesRegionBoundary)
 {
-    StreamPrefetcher pf("pf", 16, 1, 1);
+    StreamPrefetcher pf(16, 1, 1);
     std::vector<Addr> out;
     // Train right up to a 4KB boundary, then cross it: the stream must
     // keep prefetching without retraining.
@@ -132,7 +132,7 @@ TEST(StreamPrefetcher, TrainedStreamCrossesRegionBoundary)
 
 TEST(StreamPrefetcher, RandomTrafficStaysQuiet)
 {
-    StreamPrefetcher pf("pf", 16, 2, 4);
+    StreamPrefetcher pf(16, 2, 4);
     Rng rng(3);
     std::vector<Addr> out;
     for (unsigned i = 0; i < 200; ++i)
@@ -142,7 +142,7 @@ TEST(StreamPrefetcher, RandomTrafficStaysQuiet)
 
 TEST(StreamPrefetcher, PrefetchesAreBlockAligned)
 {
-    StreamPrefetcher pf("pf", 16, 2, 2);
+    StreamPrefetcher pf(16, 2, 2);
     std::vector<Addr> out;
     for (unsigned i = 0; i < 10; ++i)
         pf.observe(0, 0x100000 + i * kLineBytes + 8, true, out);

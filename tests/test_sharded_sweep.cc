@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -583,6 +584,35 @@ TEST(SupervisorRun, RestartsACrashedWorkerFromItsJournal)
     spec.journalPath = journal;
     spec.freshArgv = {"/bin/sh", "-c", "exit 86"};
     spec.resumeArgv = {"/bin/sh", "-c", "exit 0"};
+
+    SupervisorOptions opts;
+    opts.restarts = 2;
+    opts.backoffBaseSeconds = 0.01;
+    opts.backoffCapSeconds = 0.02;
+    Supervisor supervisor(opts);
+    const std::vector<ShardOutcome> outcomes = supervisor.run({spec});
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_TRUE(outcomes[0].ok);
+    EXPECT_EQ(outcomes[0].attempts, 2u);
+}
+
+TEST(SupervisorRun, RestartsFreshWhenTheJournalHasNoHeader)
+{
+    // A worker killed after creating its journal but before writing
+    // the header leaves an empty file. Resuming it can never succeed
+    // (the resume argv fails here, as bvsweep --resume would), so the
+    // restart must take the fresh argv, which succeeds the second time.
+    const std::string journal = tempPath("sup_headerless.journal");
+    const std::string marker = tempPath("sup_headerless.marker");
+    writeFile(journal, "");
+    std::remove(marker.c_str());
+    WorkerSpec spec;
+    spec.shardIndex = 0;
+    spec.journalPath = journal;
+    spec.freshArgv = {"/bin/sh", "-c",
+                      "[ -e '" + marker + "' ] || { : > '" + marker +
+                          "'; exit 86; }"};
+    spec.resumeArgv = {"/bin/sh", "-c", "exit 1"};
 
     SupervisorOptions opts;
     opts.restarts = 2;

@@ -14,56 +14,84 @@ namespace bvc
 namespace
 {
 
-TEST(StatGroup, CounterStartsAtZero)
+constexpr StatNames kNames{"zebra", "hits", "apple"};
+
+TEST(StatGroup, CountersStartAtZero)
 {
-    StatGroup group("g");
-    EXPECT_EQ(group.get("x"), 0u);
-    EXPECT_EQ(group.counter("x").value(), 0u);
+    StatGroup group("g", kNames.names);
+    EXPECT_EQ(group[kNames["hits"]].value(), 0u);
+    EXPECT_EQ(group.get("hits"), 0u);
 }
 
 TEST(StatGroup, IncrementAndAdd)
 {
-    StatGroup group("g");
-    ++group.counter("hits");
-    group.counter("hits") += 4;
+    StatGroup group("g", kNames.names);
+    ++group[kNames["hits"]];
+    group[kNames["hits"]] += 4;
     EXPECT_EQ(group.get("hits"), 5u);
+    EXPECT_EQ(group.get("apple"), 0u);
 }
 
-TEST(StatGroup, SameNameSameCounter)
+TEST(StatGroup, AbsentNameReadsZero)
 {
-    StatGroup group("g");
-    ++group.counter("a");
-    ++group.counter("a");
-    EXPECT_EQ(group.get("a"), 2u);
+    StatGroup group("g", kNames.names);
+    group[kNames["hits"]] += 3;
+    EXPECT_EQ(group.get("victim_hits"), 0u);
+    EXPECT_EQ(StatGroup("empty").get("hits"), 0u);
 }
 
 TEST(StatGroup, ResetAllClearsEverything)
 {
-    StatGroup group("g");
-    group.counter("a") += 3;
-    group.counter("b") += 9;
+    StatGroup group("g", kNames.names);
+    group[kNames["apple"]] += 3;
+    group[kNames["zebra"]] += 9;
     group.resetAll();
-    EXPECT_EQ(group.get("a"), 0u);
-    EXPECT_EQ(group.get("b"), 0u);
+    EXPECT_EQ(group.get("apple"), 0u);
+    EXPECT_EQ(group.get("zebra"), 0u);
 }
 
-TEST(StatGroup, DumpContainsNameAndValues)
+TEST(StatGroup, DumpIsSortedByName)
 {
-    StatGroup group("llc");
-    group.counter("misses") += 7;
-    const std::string dump = group.dump();
-    EXPECT_NE(dump.find("llc.misses 7"), std::string::npos);
+    StatGroup group("llc", kNames.names);
+    group[kNames["hits"]] += 7;
+    EXPECT_EQ(group.dump(), "llc.apple 0\nllc.hits 7\nllc.zebra 0\n");
 }
 
-TEST(StatGroup, NamesSorted)
+TEST(StatGroup, NamesKeepTableOrder)
 {
-    StatGroup group("g");
-    group.counter("zebra");
-    group.counter("apple");
+    StatGroup group("g", kNames.names);
     const auto names = group.names();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "apple");
-    EXPECT_EQ(names[1], "zebra");
+    ASSERT_EQ(names.size(), 3u);
+    EXPECT_STREQ(names[0], "zebra");
+    EXPECT_STREQ(names[2], "apple");
+}
+
+TEST(StatGroup, PlusEqualsSumsCounterByCounter)
+{
+    StatGroup a("g", kNames.names);
+    StatGroup b("g", kNames.names);
+    a[kNames["hits"]] += 2;
+    b[kNames["hits"]] += 5;
+    b[kNames["apple"]] += 1;
+    a += b;
+    EXPECT_EQ(a.get("hits"), 7u);
+    EXPECT_EQ(a.get("apple"), 1u);
+    EXPECT_EQ(b.get("hits"), 5u);
+}
+
+TEST(StatGroupDeathTest, DuplicateNamesAreRejected)
+{
+    static constexpr StatNames kDup{"hits", "misses", "hits"};
+    EXPECT_DEATH(StatGroup("g", kDup.names), "duplicate counter name hits");
+}
+
+TEST(StatGroupDeathTest, PlusEqualsAcrossTablesPanics)
+{
+    // Same names, different table: += sums by index, so it must refuse.
+    static constexpr StatNames kOther{"zebra", "hits", "apple"};
+    StatGroup a("g", kNames.names);
+    const StatGroup b("g", kOther.names);
+    EXPECT_DEATH(a += b, "different counter tables");
 }
 
 TEST(Histogram, MeanOfSamples)

@@ -15,7 +15,7 @@ namespace
  * A file split into lines twice: `raw` keeps the text verbatim (the
  * suppression comments live there), `code` has comments removed and
  * string/char literal contents blanked (delimiters kept, so patterns
- * like `.counter("` still match the call site but never a comment).
+ * like `assert(` match a call but never a comment or a string).
  */
 struct FileView
 {
@@ -129,30 +129,6 @@ report(std::vector<Finding> &out, const FileView &view,
 {
     if (!suppressed(view, line, rule))
         out.push_back({file, line, rule, std::move(message)});
-}
-
-// ---------------------------------------------------------------- BV001
-
-const std::regex kCounterLookup(R"([.>]counter\s*\(\s*")");
-
-/**
- * A `.counter("name")` call on a statement line (one containing `;`) is
- * a per-access string lookup; registration sites live in constructor
- * member-init lists, which never carry a `;` on the lookup line.
- */
-void
-lintCounterLookup(std::vector<Finding> &out, const SourceFile &src,
-                  const FileView &view)
-{
-    for (std::size_t i = 0; i < view.code.size(); ++i) {
-        const std::string &line = view.code[i];
-        if (line.find(';') == std::string::npos)
-            continue;
-        if (std::regex_search(line, kCounterLookup))
-            report(out, view, src.path, i + 1, "BV001",
-                   "per-access Counter lookup by name; resolve the "
-                   "reference once in a HotCounters member-init list");
-    }
 }
 
 // ---------------------------------------------------------------- BV002
@@ -798,9 +774,6 @@ const std::vector<Rule> &
 ruleTable()
 {
     static const std::vector<Rule> kRules = {
-        {"BV001", "counter-lookup",
-         "No per-access StatGroup::counter(\"name\") lookups outside "
-         "HotCounters registration (member-init lists)."},
         {"BV002", "nondeterminism",
          "No rand()/srand()/time()/std::random_device; use the seeded "
          "bvc::Rng."},
@@ -899,7 +872,6 @@ lintFiles(const std::vector<SourceFile> &files,
     for (std::size_t i = 0; i < files.size(); ++i) {
         if (!lintableSource(files[i].path))
             continue;
-        lintCounterLookup(findings, files[i], views[i]);
         lintNondeterminism(findings, files[i], views[i]);
         lintEnumSwitchDefault(findings, files[i], views[i], enums);
         lintBareAssert(findings, files[i], views[i]);

@@ -4,7 +4,6 @@
  * (docs/static_analysis.md). The engine is a plain text scanner — no
  * libclang dependency — tuned to this codebase's idioms:
  *
- *   BV001  per-access Counter lookup by name (use HotCounters)
  *   BV002  nondeterministic primitive (rand/srand/time/random_device)
  *   BV003  `default:` label in a switch over a project enum class
  *   BV004  bare assert() in model code (use panic/panicIf)
