@@ -1,6 +1,5 @@
 #include "compress/bdi.hh"
 
-#include <bit>
 #include <cstring>
 
 #include "compress/bitstream.hh"
@@ -50,82 +49,107 @@ repeated8(const std::uint8_t *line)
 }
 
 /**
- * Width-specialized base-delta validation over fixed-count word lanes.
- * Two straight-line passes with no data-dependent branches inside the
- * loops (SIMD-friendly: every lane computes a predicate that folds
- * into a mask or an AND-accumulator):
- *
- *   pass 1: lane i sets zeroMask bit i when the element fits the
- *           delta range around the implicit zero base;
- *   the base is the first element NOT covered by zeroMask (its lane
- *   index is countr_zero of the complement — no scan loop);
- *   pass 2: lane i checks raw[i] - base against the delta range,
- *           accepted when the lane already fit the zero base.
- *
- * Outputs (base, maskBits, validity) are exactly those of the old
- * sequential early-exit scan: the base element's own delta is zero,
- * so re-checking it in pass 2 never changes the verdict.
+ * The one validation kernel of a base-delta-immediate configuration,
+ * shared by the size path and the encoder. Walks the elements in order:
+ * an element within a DeltaBits delta of zero takes the implicit zero
+ * base (mask bit clear); the first element that does not becomes the
+ * explicit base; a later element that fits neither around zero nor
+ * around the base fails the configuration at once. An incompressible
+ * line usually fails within its first few elements, so it costs a
+ * handful of compares per configuration instead of a full pass.
+ * Deltas wrap in the element's own width.
+ * @param base     receives the explicit base value (0 if none)
+ * @param maskBits receives the mask; bit i set => element i uses base
  */
 template <unsigned BaseBytes, unsigned DeltaBits>
 bool
-analyzeConfig(const std::uint8_t *line, std::uint64_t &base,
+fitsBaseDelta(const std::uint8_t *line, std::uint64_t &base,
               std::uint64_t &maskBits)
 {
     constexpr unsigned kElems =
         static_cast<unsigned>(kLineBytes) / BaseBytes;
-    constexpr unsigned kWidthBits = BaseBytes * 8;
-    constexpr std::uint64_t kAllElems =
-        kElems >= 64 ? ~0ULL : (1ULL << kElems) - 1;
+    constexpr std::uint64_t kWidthMask =
+        BaseBytes == 8 ? ~0ULL : (1ULL << (8 * BaseBytes)) - 1;
+    constexpr std::uint64_t kHalf = 1ULL << (DeltaBits - 1);
+    // Read as a signed element, v lies in [-kHalf, kHalf) exactly when
+    // v + kHalf, wrapped to the element width, is below 2 * kHalf.
+    const auto fits = [](std::uint64_t v) {
+        return ((v + kHalf) & kWidthMask) < 2 * kHalf;
+    };
 
-    std::uint64_t raw[kElems];
+    base = 0;
+    maskBits = 0;
     for (unsigned i = 0; i < kElems; ++i) {
         std::uint64_t v = 0;
         std::memcpy(&v, line + static_cast<std::size_t>(i) * BaseBytes,
                     BaseBytes);
-        raw[i] = v;
+        if (fits(v))
+            continue;
+        if (maskBits == 0)
+            base = v;
+        else if (!fits(v - base))
+            return false;
+        maskBits |= 1ULL << i;
     }
-
-    std::uint64_t zeroMask = 0;
-    for (unsigned i = 0; i < kElems; ++i) {
-        const bool zfits =
-            fitsSigned(signExtend(raw[i], kWidthBits), DeltaBits);
-        zeroMask |= static_cast<std::uint64_t>(zfits) << i;
-    }
-
-    maskBits = ~zeroMask & kAllElems; // bit i set => element uses base
-    if (maskBits == 0) {
-        base = 0;
-        return true;
-    }
-    base = raw[std::countr_zero(maskBits)];
-
-    bool ok = true;
-    for (unsigned i = 0; i < kElems; ++i) {
-        // Subtract in unsigned (wraps, no overflow UB), then compare
-        // in the element's own width to handle wraparound.
-        const bool dfits =
-            fitsSigned(signExtend(raw[i] - base, kWidthBits), DeltaBits);
-        ok &= dfits || ((zeroMask >> i) & 1) != 0;
-    }
-    return ok;
+    return true;
 }
 
 /**
- * All base-delta configurations, tried best first. The fixed encoded
- * sizes are non-decreasing in this order (17, 22, 25, 38, 38, 41
- * bytes), so the first configuration that validates is also a smallest.
+ * Validate one configuration and, when `out` is given and it fits,
+ * emit its payload: base, mask, then one truncated delta per element.
  */
-struct BdiConfig
+template <unsigned BaseBytes, unsigned DeltaBytes>
+bool
+tryBaseDelta(const std::uint8_t *line, std::vector<std::uint8_t> *out)
 {
-    BdiCompressor::Encoding enc;
-    unsigned base, delta;
-};
+    constexpr unsigned kElems =
+        static_cast<unsigned>(kLineBytes) / BaseBytes;
 
-constexpr BdiConfig kBdiConfigs[] = {
-    {BdiCompressor::B8D1, 8, 1}, {BdiCompressor::B4D1, 4, 1},
-    {BdiCompressor::B8D2, 8, 2}, {BdiCompressor::B2D1, 2, 1},
-    {BdiCompressor::B4D2, 4, 2}, {BdiCompressor::B8D4, 8, 4},
-};
+    std::uint64_t base = 0, maskBits = 0;
+    if (!fitsBaseDelta<BaseBytes, DeltaBytes * 8>(line, base, maskBits))
+        return false;
+    if (out == nullptr)
+        return true;
+
+    out->clear();
+    out->reserve(BaseBytes + kElems / 8 + kElems * DeltaBytes);
+    for (unsigned b = 0; b < BaseBytes; ++b)
+        out->push_back(static_cast<std::uint8_t>(base >> (8 * b)));
+    for (unsigned b = 0; b < kElems / 8; ++b)
+        out->push_back(static_cast<std::uint8_t>(maskBits >> (8 * b)));
+    for (unsigned i = 0; i < kElems; ++i) {
+        const std::uint64_t raw = loadElem(line, BaseBytes, i);
+        const std::uint64_t delta =
+            (maskBits & (1ULL << i)) ? raw - base : raw;
+        for (unsigned b = 0; b < DeltaBytes; ++b)
+            out->push_back(static_cast<std::uint8_t>(delta >> (8 * b)));
+    }
+    return true;
+}
+
+/**
+ * The smallest base-delta encoding that fits `line` (its payload goes
+ * to `out` when given), or Uncompressed. The fixed encoded sizes are
+ * non-decreasing in this order (17, 22, 25, 38, 38, 41 bytes), so the
+ * first configuration that fits is a smallest.
+ */
+BdiCompressor::Encoding
+firstBaseDelta(const std::uint8_t *line, std::vector<std::uint8_t> *out)
+{
+    if (tryBaseDelta<8, 1>(line, out))
+        return BdiCompressor::B8D1;
+    if (tryBaseDelta<4, 1>(line, out))
+        return BdiCompressor::B4D1;
+    if (tryBaseDelta<8, 2>(line, out))
+        return BdiCompressor::B8D2;
+    if (tryBaseDelta<2, 1>(line, out))
+        return BdiCompressor::B2D1;
+    if (tryBaseDelta<4, 2>(line, out))
+        return BdiCompressor::B4D2;
+    if (tryBaseDelta<8, 4>(line, out))
+        return BdiCompressor::B8D4;
+    return BdiCompressor::Uncompressed;
+}
 
 } // namespace
 
@@ -144,62 +168,6 @@ BdiCompressor::encodedBytes(Encoding enc)
       case Uncompressed: return kLineBytes;
       default: panic("BDI: unknown encoding");
     }
-}
-
-bool
-BdiCompressor::analyzeBaseDelta(const std::uint8_t *line,
-                                unsigned baseBytes, unsigned deltaBytes,
-                                std::uint64_t &base,
-                                std::uint64_t &maskBits)
-{
-    // Dispatch to the width-specialized lane kernels (the hot path is
-    // the size-only validation in compressedBytes, which runs this for
-    // every LLC fill and writeback).
-    if (baseBytes == 8 && deltaBytes == 1)
-        return analyzeConfig<8, 8>(line, base, maskBits);
-    if (baseBytes == 8 && deltaBytes == 2)
-        return analyzeConfig<8, 16>(line, base, maskBits);
-    if (baseBytes == 8 && deltaBytes == 4)
-        return analyzeConfig<8, 32>(line, base, maskBits);
-    if (baseBytes == 4 && deltaBytes == 1)
-        return analyzeConfig<4, 8>(line, base, maskBits);
-    if (baseBytes == 4 && deltaBytes == 2)
-        return analyzeConfig<4, 16>(line, base, maskBits);
-    if (baseBytes == 2 && deltaBytes == 1)
-        return analyzeConfig<2, 8>(line, base, maskBits);
-    panic("BDI: unsupported base/delta configuration");
-}
-
-bool
-BdiCompressor::tryBaseDelta(const std::uint8_t *line, unsigned baseBytes,
-                            unsigned deltaBytes,
-                            std::vector<std::uint8_t> &out)
-{
-    const unsigned elems = static_cast<unsigned>(kLineBytes) / baseBytes;
-
-    std::uint64_t base = 0;
-    std::uint64_t maskBits = 0;
-    if (!analyzeBaseDelta(line, baseBytes, deltaBytes, base, maskBits))
-        return false;
-
-    // Emit pass: base, mask, deltas.
-    out.clear();
-    out.reserve(encodedBytes(B8D4));
-    for (unsigned b = 0; b < baseBytes; ++b)
-        out.push_back(static_cast<std::uint8_t>(base >> (8 * b)));
-    for (unsigned b = 0; b < elems / 8; ++b)
-        out.push_back(static_cast<std::uint8_t>(maskBits >> (8 * b)));
-    for (unsigned i = 0; i < elems; ++i) {
-        const std::uint64_t raw = loadElem(line, baseBytes, i);
-        std::uint64_t delta;
-        if (maskBits & (1ULL << i))
-            delta = raw - base;
-        else
-            delta = raw;
-        for (unsigned b = 0; b < deltaBytes; ++b)
-            out.push_back(static_cast<std::uint8_t>(delta >> (8 * b)));
-    }
-    return true;
 }
 
 void
@@ -250,20 +218,10 @@ BdiCompressor::compress(const std::uint8_t *line) const
         return block;
     }
 
-    CompressedBlock best;
-    best.encoding = Uncompressed;
-    best.payload.assign(line, line + kLineBytes);
-
-    std::vector<std::uint8_t> candidate;
-    for (const auto &cfg : kBdiConfigs) {
-        if (!tryBaseDelta(line, cfg.base, cfg.delta, candidate))
-            continue;
-        if (candidate.size() < best.payload.size()) {
-            best.encoding = cfg.enc;
-            best.payload = candidate;
-        }
-    }
-    return best;
+    block.encoding = firstBaseDelta(line, &block.payload);
+    if (block.encoding == Uncompressed)
+        block.payload.assign(line, line + kLineBytes);
+    return block;
 }
 
 std::size_t
@@ -273,16 +231,8 @@ BdiCompressor::compressedBytes(const std::uint8_t *line) const
         return encodedBytes(Zeros);
     if (repeated8(line))
         return encodedBytes(Rep8);
-
-    // Only the validation pass of each configuration runs; the encoded
-    // size is fixed per configuration, and the configurations are tried
-    // in non-decreasing size order, so the first hit is a smallest.
-    std::uint64_t base = 0, maskBits = 0;
-    for (const auto &cfg : kBdiConfigs) {
-        if (analyzeBaseDelta(line, cfg.base, cfg.delta, base, maskBits))
-            return encodedBytes(cfg.enc);
-    }
-    return encodedBytes(Uncompressed);
+    // Validation only: each configuration's encoded size is fixed.
+    return encodedBytes(firstBaseDelta(line, nullptr));
 }
 
 void

@@ -46,7 +46,7 @@ class BdiCompressor : public Compressor
     };
 
     CompressedBlock compress(const std::uint8_t *line) const override;
-    /** Size-only path: validation passes only, no payload allocation. */
+    /** Size-only path: the validation kernel only, no payload. */
     std::size_t compressedBytes(const std::uint8_t *line) const override;
     void decompress(const CompressedBlock &block,
                     std::uint8_t *out) const override;
@@ -56,32 +56,6 @@ class BdiCompressor : public Compressor
     static std::size_t encodedBytes(Encoding enc);
 
   private:
-    /**
-     * Validation pass of one base-delta-immediate configuration: decide
-     * applicability and recover the base and base/immediate mask without
-     * materializing the payload (this is all compressedBytes() needs).
-     * @param line      the 64B input
-     * @param baseBytes base element width (2, 4 or 8)
-     * @param deltaBytes delta width (must be < baseBytes)
-     * @param base      receives the explicit base value
-     * @param maskBits  receives the per-element base-vs-immediate mask
-     * @return true if every element fits within deltaBytes of either the
-     *         first non-immediate element (the base) or zero
-     */
-    static bool analyzeBaseDelta(const std::uint8_t *line,
-                                 unsigned baseBytes, unsigned deltaBytes,
-                                 std::uint64_t &base,
-                                 std::uint64_t &maskBits);
-
-    /**
-     * Try one base-delta-immediate configuration (encode path).
-     * @param out receives the encoded payload on success
-     * @return same condition as analyzeBaseDelta()
-     */
-    static bool tryBaseDelta(const std::uint8_t *line, unsigned baseBytes,
-                             unsigned deltaBytes,
-                             std::vector<std::uint8_t> &out);
-
     static void decodeBaseDelta(const CompressedBlock &block,
                                 unsigned baseBytes, unsigned deltaBytes,
                                 std::uint8_t *out);
