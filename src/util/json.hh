@@ -84,6 +84,8 @@ class JsonReader
 {
   public:
     explicit JsonReader(const std::string &text) : text_(text) {}
+    /** The reader keeps a reference: a temporary would dangle. */
+    JsonReader(std::string &&) = delete;
 
     /** Skip whitespace and peek the next character (0 at end). */
     char peek()

@@ -16,6 +16,8 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -464,6 +466,12 @@ TEST(Report, TrailingGarbageIsRejected)
     EXPECT_THROW(parseJsonReport(json + " {\"extra\": 1}"), BvcError);
 }
 
+// JsonReader keeps a reference to its text: building one from a
+// temporary, which would dangle, must not compile.
+static_assert(std::is_constructible_v<JsonReader, const std::string &>);
+static_assert(!std::is_constructible_v<JsonReader, std::string>);
+static_assert(!std::is_constructible_v<JsonReader, const char *>);
+
 TEST(Json, BadUnicodeEscapeIsRejected)
 {
     // strtoul alone would decode "\uZZZZ" to 0 and embed a NUL; every
@@ -475,7 +483,8 @@ TEST(Json, BadUnicodeEscapeIsRejected)
         EXPECT_THROW(reader.parseString(), BvcError) << bad;
     }
 
-    JsonReader good("\"\\u0041\\u0009\"");
+    const std::string goodText = "\"\\u0041\\u0009\"";
+    JsonReader good(goodText);
     EXPECT_EQ(good.parseString(), "A\t");
 }
 
