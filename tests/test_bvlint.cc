@@ -79,6 +79,7 @@ TEST(BvlintFixtures, EachBadFixtureTripsExactlyItsRule)
         {"bad_get_unwrap.cc", "BV008"},
         {"bad_raw_mutex.cc", "BV009"},
         {"bad_member_doc.hh", "BV010"},
+        {"bad_member_doc_continuation.hh", "BV010"},
     };
     for (const auto &[fixture, rule] : cases) {
         std::size_t count = 0;
@@ -306,6 +307,17 @@ TEST(BvlintMemberDoc, TrailingAndAboveCommentsBothCount)
     // Exactly the three undocumented members; the documented ones,
     // the function, the private member and the enumerators are clean.
     EXPECT_EQ(count, 3u);
+}
+
+TEST(BvlintMemberDoc, ContinuationLineIsNotAMember)
+{
+    // `std::uint8_t *out) const;` ends a declaration opened on the line
+    // above; only the undocumented member after it is a finding.
+    const std::vector<Finding> findings = bvlint::lintFiles(
+        {loadFixture("bad_member_doc_continuation.hh")});
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "BV010");
+    EXPECT_EQ(findings[0].line, 16u);
 }
 
 TEST(BvlintMemberDoc, MacroAnnotatedMembersAndSourcesAreExempt)

@@ -635,7 +635,10 @@ documentedAbove(const FileView &view, std::size_t lineIdx)
  * (struct/union default public, class private); function declarations
  * and macro-annotated members are recognized by their parentheses and
  * skipped — the annotation macros all take arguments, so annotated
- * members are documented at the API-comment level instead.
+ * members are documented at the API-comment level instead. Parentheses
+ * are counted across lines, so the continuation lines of a declaration
+ * split over several lines (`std::uint8_t *out) const override;`) are
+ * skipped too.
  */
 void
 lintMemberDocs(std::vector<Finding> &out, const SourceFile &src,
@@ -654,6 +657,8 @@ lintMemberDocs(std::vector<Finding> &out, const SourceFile &src,
     bool pendingRecord = false;
     bool pendingPublic = false;
     bool pendingEnum = false;
+    // Parentheses still open at the start of the current line.
+    long openParens = 0;
 
     static const std::unordered_set<std::string> kNonMemberIntro = {
         "using",  "typedef", "friend",  "static_assert", "public",
@@ -680,7 +685,12 @@ lintMemberDocs(std::vector<Finding> &out, const SourceFile &src,
             std::regex_search(line, kRecordKeyword) ||
             std::regex_search(line, kEnumOpen);
 
-        if (inPublicRecord && !scopeKeyword &&
+        const bool continuation = openParens > 0;
+        openParens = std::max<long>(
+            0, openParens + std::count(line.begin(), line.end(), '(') -
+                   std::count(line.begin(), line.end(), ')'));
+
+        if (inPublicRecord && !scopeKeyword && !continuation &&
             line.find('{') == std::string::npos &&
             line.find('}') == std::string::npos) {
             const std::string trimmed = rtrimmed(line);
