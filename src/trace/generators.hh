@@ -43,13 +43,12 @@ const char *categoryName(WorkloadCategory category);
 /** Full parameterization of one synthetic trace. */
 struct TraceParams
 {
-    std::string name = "trace";
-    WorkloadCategory category = WorkloadCategory::SpecFp;
-    std::uint64_t seed = 1;
+    std::string name = "trace";  //!< label in reports ("SPECFP/cactusADM.0")
+    WorkloadCategory category = WorkloadCategory::SpecFp; //!< Table I group
+    std::uint64_t seed = 1;      //!< seeds the access stream and data pattern
 
-    /** Fraction of instructions that are loads / stores. */
-    double loadFrac = 0.30;
-    double storeFrac = 0.10;
+    double loadFrac = 0.30;  //!< fraction of instructions that are loads
+    double storeFrac = 0.10; //!< fraction of instructions that are stores
 
     /** Memory-op behaviour mixture (remainder = working-set reuse). */
     double streamFrac = 0.2; //!< sequential streaming accesses
@@ -65,12 +64,12 @@ struct TraceParams
      *   overflow exceeds the LLC: the misses extra effective capacity
      *            (compression or a bigger cache) can convert to hits
      */
-    std::uint64_t wsBytes = 1ULL << 20;      //!< overflow region size
-    std::uint64_t hotBytes = 32ULL << 10;
-    std::uint64_t residentBytes = 256ULL << 10;
+    std::uint64_t wsBytes = 1ULL << 20;         //!< overflow region size
+    std::uint64_t hotBytes = 32ULL << 10;       //!< hot region size
+    std::uint64_t residentBytes = 256ULL << 10; //!< resident region size
     double hotFrac = 0.55;       //!< WS accesses to the hot region
     double residentFrac = 0.25;  //!< WS accesses to the resident region
-    std::uint64_t streamBytes = 4ULL << 20;
+    std::uint64_t streamBytes = 4ULL << 20; //!< streaming region size
     std::uint64_t chaseBytes = 256ULL << 10; //!< must be a power of two
 
     /** Value behaviour (compressibility). */
