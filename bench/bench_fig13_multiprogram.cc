@@ -9,7 +9,8 @@
  *
  * The paper evaluates 4-way mixes; a 16-core section extends the same
  * methodology to the banked many-core configuration (the hit-rate
- * guarantee is per-mix there too).
+ * guarantee is per-mix there too). Exits 1 if any mix in any section
+ * violates the hit-rate guarantee.
  */
 
 #include <cstdio>
@@ -63,8 +64,11 @@ runMix(const bench::Context &ctx, const std::vector<TraceParams> &traces,
     return outcome;
 }
 
-/** One table section over `mixes`, each a list of suite indices. */
-void
+/**
+ * One table section over `mixes`, each a list of suite indices.
+ * Returns the number of mixes that violate the hit-rate guarantee.
+ */
+std::size_t
 runSection(const bench::Context &ctx, const char *label,
            const std::vector<std::vector<std::size_t>> &mixes,
            std::size_t llcBytes, std::size_t llcBanks,
@@ -101,6 +105,7 @@ runSection(const bench::Context &ctx, const char *label,
                     "hit-guarantee violations: %zu\n",
                     geomean(bvAll), geomean(bigAll), violations);
     }
+    return violations;
 }
 
 } // namespace
@@ -119,18 +124,20 @@ main()
     for (const auto &mix : mixes4)
         mixes4v.push_back({mix[0], mix[1], mix[2], mix[3]});
 
-    runSection(ctx, "\"4MB\"-class shared LLC (1MB bench scale)",
-               mixes4v, 1024 * 1024, /*banks=*/1, /*divisor=*/2,
-               "+8.7%", "+9.0%");
-    runSection(ctx, "\"8MB\"-class shared LLC (2MB bench scale)",
-               mixes4v, 2 * 1024 * 1024, /*banks=*/1, /*divisor=*/2,
-               "+11.2%", "+15.7%");
+    std::size_t violations = 0;
+    violations += runSection(
+        ctx, "\"4MB\"-class shared LLC (1MB bench scale)", mixes4v,
+        1024 * 1024, /*banks=*/1, /*divisor=*/2, "+8.7%", "+9.0%");
+    violations += runSection(
+        ctx, "\"8MB\"-class shared LLC (2MB bench scale)", mixes4v,
+        2 * 1024 * 1024, /*banks=*/1, /*divisor=*/2, "+11.2%", "+15.7%");
 
     // Beyond the paper: 16-way mixes over the 4-bank 2MB LLC. Fewer
     // draws and smaller per-thread windows keep the total instruction
     // budget near the 4-way sections'.
-    runSection(ctx, "16-core mixes, 4-bank 2MB shared LLC",
-               ctx.suite.mixesN(16, 5), 2 * 1024 * 1024, /*banks=*/4,
-               /*divisor=*/8, nullptr, nullptr);
-    return 0;
+    violations += runSection(
+        ctx, "16-core mixes, 4-bank 2MB shared LLC",
+        ctx.suite.mixesN(16, 5), 2 * 1024 * 1024, /*banks=*/4,
+        /*divisor=*/8, nullptr, nullptr);
+    return violations == 0 ? 0 : 1;
 }

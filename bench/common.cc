@@ -147,8 +147,8 @@ printSeriesSummary(const std::string &label,
                 "back-invals excluded)\n",
                 geomean(backInvalRatios), backInvalRatios.size(),
                 eliminatedAll, noBaseline);
-    // Harness-throughput footer: lets the BENCH_*.json trajectories
-    // track sweep speed across PRs, not just model quality.
+    // Harness-throughput footer: the per-series wall-clock is where
+    // the time to regenerate a figure is read.
     double jobSeconds = 0.0;
     for (const TraceRatio &r : ratios)
         jobSeconds += r.baseSeconds + r.testSeconds;

@@ -46,12 +46,19 @@ struct ExperimentOptions
 /** Normalized per-trace outcome of a config-vs-baseline comparison. */
 struct TraceRatio
 {
-    std::string name;
+    std::string name;  //!< suite trace name, e.g. "SPECFP/cactusADM.0"
+    /** Workload category of the trace (Table I), for per-category means. */
     WorkloadCategory category = WorkloadCategory::SpecFp;
+    /** The trace's data compresses well (left side of the paper's plots). */
     bool compressionFriendly = false;
     double ipcRatio = 1.0;       //!< IPC(test) / IPC(base)
     double dramReadRatio = 1.0;  //!< reads(test) / reads(base)
+    /**
+     * Full result of the baseline run; its llcDemandMisses are the
+     * bound of the hit-rate guarantee.
+     */
     RunResult base;
+    /** Full result of the test-configuration run. */
     RunResult test;
     double baseSeconds = 0.0;    //!< wall-clock of the baseline run
     double testSeconds = 0.0;    //!< wall-clock of the test run
